@@ -87,3 +87,27 @@ func BenchmarkCrashStepRound(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCrashSetup measures the set-up layer of a whole crash run at
+// the crash-killer scale, n = 16384: n NewCrashNode calls, each making
+// the node's activation draw (Figure 1 line 2) from its LazyRand stream.
+func BenchmarkCrashSetup(b *testing.B) {
+	const n = 16384
+	ids, err := renaming.GenerateIDs(n, 16*n, renaming.IDsEven, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.CrashConfig{N: 16 * n, IDs: ids, Seed: n, CommitteeScale: 0.02}
+	if err := cfg.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	nodes := make([]*core.CrashNode, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range nodes {
+			nodes[j] = core.NewCrashNode(cfg, j)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
+}

@@ -8,8 +8,11 @@
 // -P GOMAXPROCS suffix stripped), the iteration count, and every
 // value/unit metric pair (ns/op, B/op, allocs/op, and custom
 // b.ReportMetric units such as msgs/round). `make bench` uses it to
-// refresh BENCH_byz.json, the before/after ledger of the Byzantine-path
-// performance work.
+// refresh the BENCH_*.json before/after ledgers, selecting each ledger's
+// benchmarks by name (-match) or by package (-pkg, read from the
+// `pkg:` header go test prints above each package's benchmarks):
+//
+//	go test -run '^$' -bench . ./... | benchjson -pkg renaming/internal/sim -out BENCH_sim.json
 //
 // With -compare the command instead diffs two ledgers and exits
 // non-zero on regressions, turning the BENCH_*.json artifacts into an
@@ -51,6 +54,7 @@ func main() {
 func run() error {
 	out := flag.String("out", "", "write the JSON artifact to this path (stdout keeps the raw text)")
 	match := flag.String("match", "", "only record benchmarks whose name contains this substring")
+	pkgs := flag.String("pkg", "", "only record benchmarks of these comma-separated import paths")
 	compare := flag.String("compare", "", "compare this old ledger against the new ledger given as the positional argument; exit non-zero on regressions")
 	tol := flag.Float64("tol", 0.25, "relative tolerance for -compare: new > old*(1+tol) on a gated metric is a regression")
 	flag.Parse()
@@ -62,12 +66,26 @@ func run() error {
 		return compareLedgers(*compare, flag.Arg(0), *tol)
 	}
 
+	wantPkg := map[string]bool{}
+	for _, p := range strings.Split(*pkgs, ",") {
+		if p != "" {
+			wantPkg[p] = true
+		}
+	}
 	var records []Record
+	var pkg string
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line)
+		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = strings.TrimSpace(p)
+			continue
+		}
+		if len(wantPkg) > 0 && !wantPkg[pkg] {
+			continue
+		}
 		rec, ok := parseBenchLine(line)
 		if !ok {
 			continue

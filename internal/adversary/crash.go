@@ -141,15 +141,24 @@ func (a *Scheduled) Crashes(view sim.View) []sim.CrashOrder {
 }
 
 // randomHalfFilter returns a SendFilter delivering each message with
-// probability 1/2, decided once per recipient for determinism.
+// probability 1/2, decided once per recipient for determinism: the first
+// query for a recipient draws rng.Intn(2) and every later query replays
+// that verdict. The memo is a dense per-link table (0 undecided, 1 drop,
+// 2 keep) grown on demand to the highest link queried, so a crash costs
+// one byte per recipient instead of two map entries. Recipients are link
+// indices, never negative.
 func randomHalfFilter(rng *rand.Rand) sim.SendFilter {
-	decided := make(map[int]bool)
-	choice := make(map[int]bool)
+	var memo []uint8
 	return func(to int) bool {
-		if !decided[to] {
-			decided[to] = true
-			choice[to] = rng.Intn(2) == 0
+		if to >= len(memo) {
+			memo = append(memo, make([]uint8, to+1-len(memo))...)
 		}
-		return choice[to]
+		if memo[to] == 0 {
+			memo[to] = 1
+			if rng.Intn(2) == 0 {
+				memo[to] = 2
+			}
+		}
+		return memo[to] == 2
 	}
 }

@@ -111,11 +111,12 @@ type CrashNode struct {
 	id  int // original identity in [1, N]
 	n   int
 	cfg CrashConfig
-	// rng replays the node's private randomness stream lazily: the crash
-	// algorithm draws only at activation and on committee wipes /
+	// rng computes the node's private randomness stream on demand: the
+	// crash algorithm draws only at activation and on committee wipes /
 	// p-adoptions, so 16 bytes of (seed, counter) state replace the ~5 KiB
 	// resident generator a *rand.Rand would pin per node — the difference
-	// between ~5 GiB and ~16 MiB of generator state at n = 2^20.
+	// between ~5 GiB and ~16 MiB of generator state at n = 2^20 — and
+	// each of those draws costs O(1) (see sim.LazyRand).
 	rng sim.LazyRand
 
 	iv          interval.Interval
@@ -138,8 +139,8 @@ type CrashNode struct {
 	// nil (or a declined intern) falls back to an explicit Multicast.
 	sets *sim.Sets
 	// agg is the run-wide shared committee aggregate (one object for all
-	// nodes, obtained through the registry's scratch slot); nil when
-	// shared multicasts are disabled.
+	// nodes, obtained through the registry's scratch slot); nil outside
+	// an engine.
 	agg *committeeAggregate
 
 	// Reusable scratch, all owned by this node and safe under the
@@ -159,8 +160,8 @@ type CrashNode struct {
 	packedRespBuf   []PackedResponse
 
 	// plan is the node's private committee computation, used when this
-	// member's inbox is not the shared aggregate view (eager-multicast
-	// ablation, or a mid-send filter gave it a per-recipient merged view).
+	// member's inbox content differs from the one the shared aggregate
+	// was computed for (a mid-send filter reached members unevenly).
 	plan committeePlan
 }
 
@@ -277,6 +278,9 @@ func (node *CrashNode) Step(round int, inbox []sim.Message) sim.Outbox {
 		}
 		return nil
 	case 1:
+		if cap(node.committeeLinks) < len(inbox) {
+			node.committeeLinks = make([]int, 0, len(inbox))
+		}
 		node.committeeLinks = node.committeeLinks[:0]
 		for _, msg := range inbox {
 			if _, ok := msg.Payload.(NotifyPayload); ok {
@@ -299,7 +303,6 @@ func (node *CrashNode) Step(round int, inbox []sim.Message) sim.Outbox {
 			node.statusBox = status
 			payload = &node.statusBox
 		}
-		out := node.outBuf[:0]
 		// Shared-multicast representation: when this node's committee view
 		// matches the phase's canonical set (it always does in failure-free
 		// phases — every node derives it from the same Notify broadcasts),
@@ -311,11 +314,12 @@ func (node *CrashNode) Step(round int, inbox []sim.Message) sim.Outbox {
 		// copies — fall back to the explicit Multicast below.
 		if node.sets != nil && len(node.committeeLinks) > 0 {
 			if id, ok := node.sets.InternPhase(uint64(round/3), node.committeeLinks); ok {
-				out = append(out, sim.Message{From: node.idx, To: sim.ToSet(id), Payload: payload})
+				out := append(node.outbox(1), sim.Message{From: node.idx, To: sim.ToSet(id), Payload: payload})
 				node.outBuf = out
 				return out
 			}
 		}
+		out := node.outbox(len(node.committeeLinks))
 		for _, link := range node.committeeLinks {
 			out = append(out, sim.Message{From: node.idx, To: link, Payload: payload})
 		}
@@ -412,6 +416,10 @@ func (pl *committeePlan) compute(codec *crashCodec, cfg CrashConfig, n int, inbo
 	}
 	pl.statusDec = dec
 	pl.statuses = statuses
+	if cap(pl.respBase) < len(statuses) {
+		pl.respBase = make([]ResponsePayload, 0, len(statuses))
+		pl.links = make([]int32, 0, len(statuses))
+	}
 	pl.respBase = pl.respBase[:0]
 	pl.links = pl.links[:0]
 	pl.maxP = 0
@@ -581,21 +589,24 @@ func (pl *committeePlan) compute(codec *crashCodec, cfg CrashConfig, n int, inbo
 
 // committeeAggregate is the run-wide shared committee computation, one
 // object for all nodes of a run (distributed through sim.Sets.Scratch).
-// In a committee round every member receives the same n statuses; when
-// the engine bound them all to one shared aggregate view the inbox
-// slice identity is shared too, and the first member to step computes
-// the plan once for everyone. It also carries a shared response arena:
+// In a committee round every member usually receives the same statuses,
+// and the plan is a pure function of them: the first member to step
+// computes it, keyed on (round, inbox content), and every member whose
+// inbox carries the same content reuses it. That covers the engine's
+// zero-copy bound views (one backing array, the fast path), the
+// per-recipient merged views that a mid-send crash leaves behind when
+// it reached every member alike, and the explicit views of the
+// eager-multicast ablation. It also carries a shared response arena:
 // the first member to stamp encodes the responses with its adopted p,
 // and every member whose p matches (the common case — they all adopt
 // the same maximum) reuses the same payload boxes, so a recipient sees
-// K responses carrying one box and decodes it once. Members whose p or
-// inbox diverged fall back to private encoding — the per-recipient
-// delta path.
+// K responses carrying one box and decodes it once. Members whose
+// content or p diverged fall back to private encoding — the
+// per-recipient delta path.
 type committeeAggregate struct {
 	mu    sync.Mutex
 	round int
-	key   *sim.Message // &inbox[0]: identity of the shared bound view
-	n     int
+	key   []sim.Message // the stamping member's inbox: the plan's content
 	valid bool
 	plan  committeePlan
 
@@ -605,20 +616,51 @@ type committeeAggregate struct {
 	respBuf   []ResponsePayload
 }
 
+// sameContent reports whether two committee-round inboxes carry the same
+// statuses: per position the same sender and the same status box. The
+// plan reads nothing else, and a box is immutable for the round. Views
+// sharing one backing array are identical without a scan.
+func sameContent(a, b []sim.Message) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for j := range a {
+		if a[j].From != b[j].From || !sameStatus(a[j].Payload, b[j].Payload) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameStatus reports whether x and y are the same status box. Any other
+// payload compares unequal, sending the member down the private path.
+func sameStatus(x, y sim.Payload) bool {
+	switch p := x.(type) {
+	case *PackedStatus:
+		q, ok := y.(*PackedStatus)
+		return ok && p == q
+	case *StatusPayload:
+		q, ok := y.(*StatusPayload)
+		return ok && p == q
+	}
+	return false
+}
+
 // committeeAction implements Figure 2 for one member. The inbox-pure
 // plan is computed by committeePlan.compute — through the shared
-// aggregate when this member's inbox is the shared bound view (all
-// entries keep the sender's ToSet sentinel), privately otherwise.
+// aggregate when this member's inbox content matches the round's
+// shared plan, privately otherwise.
 func (node *CrashNode) committeeAction(round int, inbox []sim.Message) sim.Outbox {
 	if len(inbox) == 0 {
 		return nil
 	}
-	// A delivered inbox whose To is still a shared sentinel is the
-	// engine's zero-copy bound view — identical (same backing array) for
-	// every member of the set. Per-recipient merged or individual views
-	// carry To == own link and take the private path.
-	if node.agg != nil && inbox[0].To < 0 {
-		return node.committeeShared(round, inbox)
+	if node.agg != nil {
+		if out, ok := node.committeeShared(round, inbox); ok {
+			return out
+		}
 	}
 	pl := &node.plan
 	pl.compute(&node.codec, node.cfg, node.n, inbox)
@@ -632,21 +674,29 @@ func (node *CrashNode) committeeAction(round int, inbox []sim.Message) sim.Outbo
 }
 
 // committeeShared runs the member's committee round over the shared
-// aggregate: plan computed once per (round, view), responses encoded
-// once for the common adopted p, headers built per member.
-func (node *CrashNode) committeeShared(round int, inbox []sim.Message) sim.Outbox {
+// aggregate: plan computed once per (round, inbox content), responses
+// encoded once for the common adopted p, headers built per member. It
+// reports false, leaving the node untouched, when the round's plan was
+// computed for different content.
+func (node *CrashNode) committeeShared(round int, inbox []sim.Message) (sim.Outbox, bool) {
 	agg := node.agg
 	agg.mu.Lock()
-	if !agg.valid || agg.round != round || agg.key != &inbox[0] || agg.n != len(inbox) {
-		agg.round, agg.key, agg.n = round, &inbox[0], len(inbox)
+	if !agg.valid || agg.round != round {
+		// First member this round: its content becomes the key. The plan
+		// is never recomputed within a round, so members reading it
+		// outside the lock below never race a rewrite.
+		agg.round, agg.key = round, inbox
 		agg.plan.compute(&node.codec, node.cfg, node.n, inbox)
 		agg.encoded = false
 		agg.valid = true
+	} else if !sameContent(agg.key, inbox) {
+		agg.mu.Unlock()
+		return nil, false
 	}
 	pl := &agg.plan
 	if len(pl.respBase) == 0 {
 		agg.mu.Unlock()
-		return nil
+		return nil, true
 	}
 	if pl.maxP > node.p {
 		node.p = pl.maxP
@@ -687,9 +737,9 @@ func (node *CrashNode) committeeShared(round int, inbox []sim.Message) sim.Outbo
 	if !reuse {
 		// This member adopted a different p than the stamping member —
 		// encode a private arena (the rare per-member delta).
-		return node.emitResponses(pl)
+		return node.emitResponses(pl), true
 	}
-	out := node.outBuf[:0]
+	out := node.outbox(len(pl.respBase))
 	if node.codec.packed {
 		for j := range pl.respBase {
 			out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &agg.packedBuf[j]})
@@ -700,7 +750,16 @@ func (node *CrashNode) committeeShared(round int, inbox []sim.Message) sim.Outbo
 		}
 	}
 	node.outBuf = out
-	return out
+	return out, true
+}
+
+// outbox returns the node's reused outbox buffer, emptied, with room
+// for n messages.
+func (node *CrashNode) outbox(n int) sim.Outbox {
+	if cap(node.outBuf) < n {
+		node.outBuf = make(sim.Outbox, 0, n)
+	}
+	return node.outBuf[:0]
 }
 
 // emitResponses stamps the member's p into the plan's response
@@ -708,7 +767,7 @@ func (node *CrashNode) committeeShared(round int, inbox []sim.Message) sim.Outbo
 // codec layout fits); recipients read the boxes next round, before the
 // next committee round rewrites them.
 func (node *CrashNode) emitResponses(pl *committeePlan) sim.Outbox {
-	out := node.outBuf[:0]
+	out := node.outbox(len(pl.respBase))
 	if node.codec.packed {
 		if cap(node.packedRespBuf) < len(pl.respBase) {
 			node.packedRespBuf = make([]PackedResponse, len(pl.respBase))

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -100,3 +101,43 @@ func (s *sparseNode) Step(round int, inbox []Message) Outbox {
 }
 func (s *sparseNode) Output() (int, bool) { return 0, false }
 func (s *sparseNode) Halted() bool        { return false }
+
+// BenchmarkMidSendCompaction measures the engine's mid-send filter layer
+// at the crash-killer scale, n = 16384: 16 committee members crash
+// mid-way through their Notify broadcast in one round, each with a
+// random-half filter drawing from one shared rng (the
+// adversary.CommitteeKiller pattern), and evalFilters compacts their
+// ToAll outboxes to the surviving wire messages.
+func BenchmarkMidSendCompaction(b *testing.B) {
+	const n, crashers = 16384, 16
+	e := newEngine(sparseNodes(n))
+	e.finishSetup()
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(e.filters)
+		for s := 0; s < crashers; s++ {
+			e.outs[s] = Outbox{{From: s, To: ToAll, Payload: pingPayload{size: 1}}}
+			e.acted[s] = true
+			e.filters[s] = halfFilter(rng)
+		}
+		e.evalFilters()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*crashers*n), "ns/wire")
+}
+
+// halfFilter keeps each recipient with probability 1/2, memoized per
+// recipient in a dense table, drawing from the given (shared) rng.
+func halfFilter(rng *rand.Rand) SendFilter {
+	var memo []uint8
+	return func(to int) bool {
+		if to >= len(memo) {
+			memo = append(memo, make([]uint8, to+1-len(memo))...)
+		}
+		if memo[to] == 0 {
+			memo[to] = 1 + uint8(rng.Intn(2))
+		}
+		return memo[to] == 2
+	}
+}

@@ -21,8 +21,10 @@
 // recipient still costs the sender, as in the paper's model) but the
 // payload is stored once: recipients covered by exactly one shared
 // source are bound zero-copy to a shared aggregate segment, and the
-// rest receive a per-recipient merge. Expansion to individual copies
-// happens only under mid-send crash filters and rushing previews, in
+// rest receive a per-recipient merge. Individual copies are written
+// only for rushing previews and for senders crashing mid-send, whose
+// outboxes are compacted to the wire messages their filter keeps (a
+// filter that keeps everything leaves the shared entry in place), in
 // ascending-member order — byte-identical to eager emission (the
 // WithEagerMulticast ablation pins this). Payload implementations must
 // therefore be read-only after Send. Delivered To is unspecified (a
@@ -43,6 +45,12 @@
 // views are delivered sorted by sender. Two runs with equal seeds are
 // bit-identical at -workers=1 and -workers=8; the root package's
 // determinism tests lock golden fingerprints at both.
+//
+// Node coins: LazyRand reproduces a per-node
+// rand.New(rand.NewSource(DeriveSeed(seed, label))) Float64 stream bit
+// for bit from 16 bytes of state, each of its first 273 draws in O(1)
+// with no allocation, so n nodes' activation coins cost neither
+// resident memory nor set-up time.
 //
 // # Memory model
 //

@@ -132,22 +132,22 @@ type engine struct {
 	aliveView   []bool
 	filters     map[int]SendFilter
 	filterOrder []int
-	keepFor     map[int][]bool // per filtered sender: per-message verdict
-	keepPool    [][]bool
 	previews    map[int][]Message
 	rushInbox   []Message
 	delivered   []Message
 
-	// expandBufs pools the explicit outboxes that mid-send crash filtering
-	// expands shared entries (ToAll, ToSet) into (keep verdicts are
-	// indexed per wire message). Buffers are reclaimed at the next
-	// evalFilters call, after phaseStep has dropped all outbox references.
-	expandBufs [][]Message
-	expandUsed int
-	roundEnd   []func() // coordinator hooks run at the end of every round
+	// survivors is the arena mid-send crash filtering compacts filtered
+	// outboxes into: each crasher's surviving wire messages, shared
+	// entries (ToAll, ToSet) written out per recipient. It is sized once
+	// per round to the filtered senders' total wire count and reclaimed
+	// at the next evalFilters call, after phaseStep has dropped all
+	// outbox references.
+	survivors []Message
+	roundEnd  []func() // coordinator hooks run at the end of every round
 
 	// Shared-aggregate delivery (ToAll broadcasts and ToSet multicasts).
-	// A sender whose round outbox is exactly one unfiltered shared entry
+	// A sender whose round outbox is exactly one shared entry (after
+	// mid-send compaction: a filter that kept everything leaves it shared)
 	// is recorded in its worker's sharedRecs instead of the per-recipient
 	// counters; planShared (coordinator, between count and deliver) carves
 	// one aggregate segment per distinct shared target out of the parity
@@ -319,18 +319,9 @@ func (e *engine) reset(nodes []Node) {
 		clear(e.filters)
 	}
 	e.filterOrder = e.filterOrder[:0]
-	if e.keepFor == nil {
-		e.keepFor = make(map[int][]bool)
-	} else {
-		for node, keep := range e.keepFor {
-			delete(e.keepFor, node)
-			e.keepPool = append(e.keepPool, keep[:0])
-		}
-	}
 	e.previews = nil
 	e.rushInbox = e.rushInbox[:0]
 	e.delivered = e.delivered[:0]
-	e.expandUsed = 0
 	e.eagerMulticast = false
 	e.aggActive = false
 	e.actSets = e.actSets[:0]
@@ -410,20 +401,16 @@ func (e *engine) finishSetup() {
 	for len(e.wexpand) < p {
 		e.wexpand = append(e.wexpand, expandPool{})
 	}
-	// Attach (or detach, under WithEagerMulticast) the interned-set
-	// registry on every node that shares multicasts through it. The
-	// registry is per-run: a pooled lease re-clears it here.
+	// Attach the interned-set registry on every node that shares
+	// multicasts through it; under WithEagerMulticast it declines every
+	// intern. The registry is per-run: a pooled lease re-clears it here.
 	if e.sets == nil {
 		e.sets = &Sets{}
 	}
-	e.sets.reset(n)
-	reg := e.sets
-	if e.eagerMulticast {
-		reg = nil
-	}
+	e.sets.reset(n, e.eagerMulticast)
 	for _, nd := range e.nodes {
 		if su, ok := nd.(SetUser); ok {
-			su.UseSets(reg)
+			su.UseSets(e.sets)
 		}
 	}
 	for i, r := range e.rushing {
@@ -844,89 +831,106 @@ func (e *engine) stepRushers() {
 	}
 }
 
-// evalFilters records, for every mid-send crasher, which of its messages
-// survive. Filters may share a memoizing rng (adversary.randomHalfFilter),
-// so they are evaluated once, sequentially, in ascending (sender, message)
-// order — the order the sequential engine called them in — and the parallel
-// phases consume the recorded verdicts instead of re-invoking the filter.
+// evalFilters compacts every mid-send crasher's outbox to the wire
+// messages its filter lets through. Filters may share a memoizing rng
+// (adversary.randomHalfFilter), so they are called once, sequentially,
+// in ascending (sender, wire message) order — shared entries walked
+// member-ascending, exactly the order the explicit representation emits
+// them in — and the parallel phases only ever see the survivors. A
+// sender whose filter kept every wire message keeps its outbox as it
+// was, shared entries included, so it stays on the aggregate path; only
+// senders whose filter actually diverged pay for per-recipient copies.
 func (e *engine) evalFilters() {
-	n := len(e.nodes)
 	e.filterOrder = e.filterOrder[:0]
-	for node := range e.filters {
-		e.filterOrder = append(e.filterOrder, node)
+	wire := 0
+	for s := range e.filters {
+		if e.acted[s] {
+			e.filterOrder = append(e.filterOrder, s)
+			wire += e.wireLen(s)
+		}
 	}
 	sort.Ints(e.filterOrder)
-	for node, keep := range e.keepFor {
-		delete(e.keepFor, node)
-		e.keepPool = append(e.keepPool, keep[:0])
+	if cap(e.survivors) < wire {
+		e.survivors = make([]Message, 0, wire)
 	}
-	e.expandUsed = 0
+	buf := e.survivors[:0]
 	for _, s := range e.filterOrder {
-		if !e.acted[s] {
+		start := len(buf)
+		buf = e.appendSurvivors(buf, s)
+		if len(buf)-start == e.wireLen(s) {
+			buf = buf[:start]
 			continue
 		}
-		filter := e.filters[s]
-		orig := e.outs[s]
-		out := e.expandShared(s)
-		var keep []bool
-		if k := len(e.keepPool); k > 0 {
-			keep = e.keepPool[k-1]
-			e.keepPool = e.keepPool[:k-1]
-		}
-		allKept := true
-		for k := range out {
-			to := out[k].To
-			if to < 0 || to >= n {
-				panic(fmt.Sprintf("sim: node %d sent to invalid link %d", s, to))
-			}
-			v := filter(to)
-			allKept = allKept && v
-			keep = append(keep, v)
-		}
-		if allKept && len(orig) != len(out) {
-			// The filter kept every wire message, so the expansion changed
-			// nothing observable: restore the shared representation and
-			// drop the verdicts, letting the sender rejoin the aggregate
-			// path. Only senders whose filter actually diverged pay for
-			// per-recipient deltas.
-			e.outs[s] = orig
-			e.keepPool = append(e.keepPool, keep[:0])
-			e.expandUsed--
-			continue
-		}
-		e.keepFor[s] = keep
+		e.outs[s] = buf[start:len(buf):len(buf)]
 	}
+	e.survivors = buf
 }
 
-// expandShared rewrites sender s's outbox with every shared entry (ToAll
-// broadcast, ToSet multicast) expanded into explicit per-recipient
-// messages, so the mid-send keep verdicts index one wire message each —
-// exactly the sequence the explicit representation produced. Runs on the
-// coordinator only, for the (rare) senders crashing mid-send; buffers
-// come from a pool reclaimed once the round's outboxes are dropped.
-func (e *engine) expandShared(s int) Outbox {
-	out := e.outs[s]
-	shared := false
-	for k := range out {
-		if out[k].To < 0 {
-			shared = true
-			break
+// wireLen returns the number of wire messages in sender s's outbox:
+// one per explicit entry, |set| per shared entry.
+func (e *engine) wireLen(s int) int {
+	total := 0
+	for _, msg := range e.outs[s] {
+		switch {
+		case msg.To == ToAll:
+			total += len(e.nodes)
+		case msg.To <= toSetBase:
+			total += len(e.setMembers(msg.To))
+		default:
+			total++
 		}
 	}
-	if !shared {
-		return out
+	return total
+}
+
+// appendSurvivors appends to buf the wire messages of sender s's outbox
+// that its mid-send filter keeps, calling the filter once per wire
+// message in emission order. buf must have room for every wire message
+// of s (evalFilters sizes it so): each one is written unconditionally
+// and the verdict only decides whether the cursor moves past it, which
+// keeps the coin-flip verdicts off the branch predictor.
+func (e *engine) appendSurvivors(buf []Message, s int) []Message {
+	n := len(e.nodes)
+	filter := e.filters[s]
+	k := len(buf)
+	buf = buf[:cap(buf)]
+	for _, msg := range e.outs[s] {
+		switch {
+		case msg.To == ToAll:
+			for to := 0; to < n; to++ {
+				buf[k] = Message{From: msg.From, To: to, Payload: msg.Payload}
+				if filter(to) {
+					k++
+				}
+			}
+		case msg.To <= toSetBase:
+			for _, m := range e.setMembers(msg.To) {
+				buf[k] = Message{From: msg.From, To: int(m), Payload: msg.Payload}
+				if filter(int(m)) {
+					k++
+				}
+			}
+		default:
+			if msg.To < 0 || msg.To >= n {
+				panic(fmt.Sprintf("sim: node %d sent to invalid link %d", s, msg.To))
+			}
+			buf[k] = msg
+			if filter(msg.To) {
+				k++
+			}
+		}
 	}
-	var buf []Message
-	if e.expandUsed < len(e.expandBufs) {
-		buf = e.expandBufs[e.expandUsed][:0]
-	} else {
-		e.expandBufs = append(e.expandBufs, nil)
+	return buf[:k]
+}
+
+// setMembers returns the members of the set a ToSet sentinel names,
+// ascending, panicking on a sentinel no interned set backs.
+func (e *engine) setMembers(to int) []int32 {
+	sid := toSetID(to)
+	if !e.sets.valid(sid) {
+		panic(fmt.Sprintf("sim: message addressed to unknown set %d", sid))
 	}
-	buf = e.appendExpanded(buf, out)
-	e.expandBufs[e.expandUsed] = buf
-	e.expandUsed++
-	e.outs[s] = buf
-	return buf
+	return e.sets.membersOf(sid)
 }
 
 // appendExpanded appends out to buf with every shared entry expanded into
@@ -942,11 +946,7 @@ func (e *engine) appendExpanded(buf []Message, out Outbox) []Message {
 				buf = append(buf, Message{From: msg.From, To: to, Payload: msg.Payload})
 			}
 		case msg.To <= toSetBase:
-			sid := toSetID(msg.To)
-			if !e.sets.valid(sid) {
-				panic(fmt.Sprintf("sim: message addressed to unknown set %d", sid))
-			}
-			for _, m := range e.sets.membersOf(sid) {
+			for _, m := range e.setMembers(msg.To) {
 				buf = append(buf, Message{From: msg.From, To: int(m), Payload: msg.Payload})
 			}
 		default:
@@ -963,7 +963,6 @@ func (e *engine) appendExpanded(buf []Message, out Outbox) []Message {
 func (e *engine) phaseCount(w, lo, hi int) {
 	counts := e.counts[w]
 	sh := &e.shards[w]
-	anyFilters := len(e.filters) > 0
 	e.sharedRecs[w] = e.sharedRecs[w][:0]
 	e.wexpand[w].used = 0
 	if e.active == 1 {
@@ -984,7 +983,7 @@ func (e *engine) phaseCount(w, lo, hi int) {
 		e.recip = e.recip[:0]
 		sh.reset()
 		for _, i := range e.stepped {
-			e.countSender(w, sh, counts, i, anyFilters, true)
+			e.countSender(w, sh, counts, i, true)
 		}
 		return
 	}
@@ -996,7 +995,7 @@ func (e *engine) phaseCount(w, lo, hi int) {
 		if !e.acted[i] {
 			continue
 		}
-		e.countSender(w, sh, counts, i, anyFilters, false)
+		e.countSender(w, sh, counts, i, false)
 	}
 }
 
@@ -1007,26 +1006,23 @@ func (e *engine) phaseCount(w, lo, hi int) {
 // first time its counter leaves zero, so the deliver phase can walk just
 // the recipients with traffic.
 //
-// A sender whose outbox is exactly one unfiltered shared entry (ToAll or
-// ToSet) takes the aggregate path: one addN bills the full fan-out, the
+// A sender whose outbox is exactly one shared entry (ToAll or ToSet) —
+// mid-send filtering has already compacted any diverged outbox to
+// explicit survivors — takes the aggregate path: one addN bills the full fan-out, the
 // per-recipient counters stay untouched, and the sender joins the
 // worker's sharedRecs for planShared/scatterShared. An outbox that mixes
 // shared entries with anything else is expanded into explicit messages
 // first (worker-local buffers), preserving its emission order exactly —
 // shared targets never reach the explicit loop below.
-func (e *engine) countSender(w int, sh *metricShard, counts []int32, i int, anyFilters, track bool) {
+func (e *engine) countSender(w int, sh *metricShard, counts []int32, i int, track bool) {
 	out := e.outs[i]
 	if len(out) == 0 {
 		return
 	}
 	n := len(e.nodes)
 	limit := e.metrics.CongestLimit
-	var keep []bool
-	if anyFilters {
-		keep = e.keepFor[i]
-	}
 	honest := !e.byzantine[i]
-	if keep == nil && len(out) == 1 && out[0].To < 0 {
+	if len(out) == 1 && out[0].To < 0 {
 		msg := &out[0]
 		fan, tgt := n, int32(ToAll)
 		if msg.To <= toSetBase {
@@ -1055,11 +1051,6 @@ func (e *engine) countSender(w int, sh *metricShard, counts []int32, i int, anyF
 	}
 	var sent int64
 	for k := range out {
-		if keep != nil && !keep[k] {
-			// Crashed mid-send: this message was never put on the
-			// wire, so it costs nothing and arrives nowhere.
-			continue
-		}
 		msg := &out[k]
 		if msg.To < 0 || msg.To >= n {
 			panic(fmt.Sprintf("sim: node %d sent to invalid link %d", i, msg.To))
@@ -1437,7 +1428,6 @@ func (e *engine) phaseDeliver(w, lo, hi int) {
 // Distinct workers write disjoint ranges of each inbox.
 func (e *engine) phaseScatter(w, lo, hi int) {
 	counts := e.counts[w]
-	anyFilters := len(e.filters) > 0
 	if e.aggActive {
 		e.scatterShared(w)
 	}
@@ -1446,7 +1436,7 @@ func (e *engine) phaseScatter(w, lo, hi int) {
 		// stepped list is ascending, so offsets are still assigned in
 		// global sender order.
 		for _, i := range e.stepped {
-			e.scatterSender(counts, i, anyFilters)
+			e.scatterSender(counts, i)
 		}
 		return
 	}
@@ -1454,7 +1444,7 @@ func (e *engine) phaseScatter(w, lo, hi int) {
 		if !e.acted[i] {
 			continue
 		}
-		e.scatterSender(counts, i, anyFilters)
+		e.scatterSender(counts, i)
 	}
 }
 
@@ -1464,19 +1454,12 @@ func (e *engine) phaseScatter(w, lo, hi int) {
 // are skipped: scatterShared already placed their single entry in an
 // aggregate segment, and mixed outboxes were expanded during the count
 // phase, so no shared target ever reaches the per-message loop.
-func (e *engine) scatterSender(counts []int32, i int, anyFilters bool) {
+func (e *engine) scatterSender(counts []int32, i int) {
 	out := e.outs[i]
 	if len(out) == 1 && out[0].To < 0 {
 		return
 	}
-	var keep []bool
-	if anyFilters {
-		keep = e.keepFor[i]
-	}
 	for k := range out {
-		if keep != nil && !keep[k] {
-			continue
-		}
 		msg := out[k]
 		msg.From = i
 		pos := counts[msg.To]

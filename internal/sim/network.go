@@ -117,8 +117,9 @@ func WithRoundEnd(fn func()) Option {
 }
 
 // WithEagerMulticast disables the interned-set shared-multicast path:
-// nodes implementing SetUser get a nil registry and therefore emit
-// explicit per-recipient Multicast messages instead of ToSet entries.
+// the registry handed to nodes implementing SetUser declines every
+// InternPhase, so they emit explicit per-recipient Multicast messages
+// instead of ToSet entries.
 // Billing, delivered content and delivery order are identical either way
 // — the property tests pin exactly that — so this is a testing and
 // ablation knob, never a semantics knob.

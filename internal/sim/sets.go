@@ -27,25 +27,29 @@ import (
 type Sets struct {
 	mu      sync.RWMutex
 	n       int
+	decline bool // WithEagerMulticast: every InternPhase declines
 	lists   [][]int32
 	byKey   map[uint64]int32
 	scratch any
 }
 
 // SetUser is implemented by nodes that emit ToSet shared multicasts. The
-// engine calls UseSets during setup with its registry, or with nil when
-// shared multicasts are disabled (WithEagerMulticast) — nodes must fall
-// back to an explicit Multicast when the registry is nil or InternPhase
-// declines.
+// engine calls UseSets during setup with its registry. Under
+// WithEagerMulticast the registry declines every InternPhase while its
+// Scratch slot keeps working, so shared derived state survives the
+// ablation. Nodes must fall back to an explicit Multicast when
+// InternPhase declines (or the registry is nil, outside an engine).
 type SetUser interface {
 	UseSets(s *Sets)
 }
 
-// reset clears the registry for a run over n nodes, keeping capacity.
-// The scratch slot is dropped so a pooled engine's next lease cannot see
-// a stale aggregate keyed on recycled slab memory.
-func (s *Sets) reset(n int) {
+// reset clears the registry for a run over n nodes, keeping capacity;
+// decline makes every InternPhase of the run decline. The scratch slot
+// is dropped so a pooled engine's next lease cannot see a stale
+// aggregate keyed on recycled slab memory.
+func (s *Sets) reset(n int, decline bool) {
 	s.n = n
+	s.decline = decline
 	s.lists = s.lists[:0]
 	if s.byKey == nil {
 		s.byKey = make(map[uint64]int32)
@@ -75,9 +79,10 @@ func (s *Sets) Scratch(mk func() any) any {
 // copy — the argument is not retained); every later caller is compared
 // against it and receives ok == false on any difference, in which case
 // it must send an explicit Multicast instead. Members must be strictly
-// ascending link indices; an empty slice is never interned.
+// ascending link indices; an empty slice is never interned, and nothing
+// is under WithEagerMulticast.
 func (s *Sets) InternPhase(key uint64, members []int) (int, bool) {
-	if len(members) == 0 {
+	if len(members) == 0 || s.decline {
 		return 0, false
 	}
 	s.mu.RLock()

@@ -8,8 +8,8 @@ import (
 
 // castNode is the ToSet property-test node: depending on its role it
 // emits shared multicasts through the interned-set registry (falling
-// back to explicit Multicast when the registry is nil — the
-// eager-multicast ablation), shared broadcasts, explicit unicasts, or a
+// back to explicit Multicast when it declines — the eager-multicast
+// ablation), shared broadcasts, explicit unicasts, or a
 // mixed outbox of both shared kinds. Every node records what it
 // receives, keyed by round, so runs can be fingerprinted and compared
 // across representations and worker counts.
