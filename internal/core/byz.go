@@ -109,10 +109,11 @@ type ByzNode struct {
 	boxed    sim.Payload
 	boxedKey SubPayload
 
-	// newBuf is the distribution arena: one PackedNew per known identity,
-	// sent by pointer so the |knownLink| NEW messages of a committee
-	// member share the arena instead of boxing a struct each (see
-	// byzCodec).
+	// codec packs and unpacks NEW, built once per node. newBuf is the
+	// distribution arena: one PackedNew per known identity, sent by
+	// pointer so the |knownLink| NEW messages of a committee member share
+	// the arena instead of boxing a struct each.
+	codec  byzCodec
 	newBuf []PackedNew
 }
 
@@ -131,6 +132,7 @@ func NewByzNode(cfg ByzConfig, idx int) *ByzNode {
 		poolSet:  cfg.pre.poolSet,
 		phase:    phElect,
 		newVotes: make(map[int]NewPayload),
+		codec:    newByzCodec(len(cfg.IDs), cfg.N),
 	}
 }
 
@@ -502,7 +504,6 @@ func (node *ByzNode) wrapSub(msgs []consensus.Msg) {
 // the rank in the agreed list if the identity's segment is clean, an
 // abstention otherwise.
 func (node *ByzNode) distribute() {
-	codec := newByzCodec(node.n, node.cfg.N)
 	// Pre-size the arena: pointers into it must stay valid, so it cannot
 	// grow while messages reference it.
 	if cap(node.newBuf) < len(node.knownLink) {
@@ -510,13 +511,13 @@ func (node *ByzNode) distribute() {
 	}
 	buf := node.newBuf[:0]
 	for id, link := range node.knownLink {
-		payload := NewPayload{SizeSmallN: node.n}
+		var payload NewPayload
 		if node.list.Get(id) && !node.inDirty(id) {
 			payload.NewID = node.list.Rank(id) + 1
 		} else {
 			payload.Null = true
 		}
-		buf = append(buf, codec.encodeNew(payload))
+		buf = append(buf, node.codec.encodeNew(payload))
 		node.outBuf = append(node.outBuf, sim.Message{From: node.idx, To: link, Payload: &buf[len(buf)-1]})
 	}
 	node.newBuf = buf
@@ -532,26 +533,20 @@ func (node *ByzNode) inDirty(id int) bool {
 }
 
 // absorbNew accumulates NEW messages from committee members (one per
-// sender; only committee links count). Correct members send the packed
-// form; Byzantine strategies may fabricate unpacked NewPayloads, so
-// both are accepted.
+// sender; only committee links count). Any word a Byzantine member puts
+// on the wire decodes to some vote; the quorum rule in tryDecide is what
+// keeps fabricated votes harmless.
 func (node *ByzNode) absorbNew(inbox []sim.Message) {
 	for _, msg := range inbox {
-		var p NewPayload
-		switch v := msg.Payload.(type) {
-		case *PackedNew:
-			newByzCodec(node.n, node.cfg.N).decodeNew(v, &p)
-		case NewPayload:
-			p = v
-		default:
-			continue
-		}
-		if !node.isMemberLink(msg.From) {
+		v, ok := msg.Payload.(*PackedNew)
+		if !ok || !node.isMemberLink(msg.From) {
 			continue
 		}
 		if _, dup := node.newVotes[msg.From]; dup {
 			continue
 		}
+		var p NewPayload
+		node.codec.decodeNew(v, &p)
 		node.newVotes[msg.From] = p
 		node.votesDirty = true
 	}

@@ -69,18 +69,10 @@ func (SubPayload) Kind() string { return KindSub }
 // Bits implements sim.Payload.
 func (p SubPayload) Bits() int { return p.ValueBits + p.PCBits }
 
-// NewPayload distributes a node's new identity. Null marks that the
-// sender's copy of the recipient's segment was dirty, so it abstains.
+// NewPayload is the decoded new-identity distribution message. Null
+// marks that the sender's copy of the recipient's segment was dirty, so
+// it abstains. It travels as a PackedNew; byzCodec bills it.
 type NewPayload struct {
-	NewID      int
-	Null       bool
-	SizeSmallN int
+	NewID int
+	Null  bool
 }
-
-var _ sim.Payload = NewPayload{}
-
-// Kind implements sim.Payload.
-func (NewPayload) Kind() string { return KindNew }
-
-// Bits implements sim.Payload.
-func (p NewPayload) Bits() int { return bitsFor(p.SizeSmallN) + 1 }

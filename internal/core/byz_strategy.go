@@ -64,6 +64,13 @@ type ByzAttacker struct {
 	inPool      bool
 	spamTargets []int      // all links, precomputed for BehaviorSpam
 	outBuf      sim.Outbox // attack-round scratch, valid until next Step
+
+	// Fabricated NEW messages travel in the one wire form, encoded by
+	// codec into an arena per round parity: a box sent in round r is
+	// read by its recipient in round r+1 and rewritten no earlier than
+	// round r+2.
+	codec   byzCodec
+	newBufs [2][]PackedNew
 }
 
 var _ sim.Node = (*ByzAttacker)(nil)
@@ -82,6 +89,7 @@ func NewByzAttacker(cfg ByzConfig, idx int, behavior ByzBehavior) *ByzAttacker {
 		rng:      sim.NewRand(cfg.Seed, 0x62797a<<20|uint64(idx)), // "byz" stream
 		poolSet:  cfg.pre.poolSet,
 		inPool:   false,
+		codec:    newByzCodec(len(cfg.IDs), cfg.N),
 	}
 	if behavior == BehaviorSpam {
 		a.spamTargets = make([]int, a.n)
@@ -183,10 +191,9 @@ func (a *ByzAttacker) attackRound(round int, inbox []sim.Message) sim.Outbox {
 		a.fakeNew(round)
 	case BehaviorSpam:
 		a.equivocateSub(round, a.spamTargets)
+		boxes := a.newBoxes(round, len(a.spamTargets))
 		for _, to := range a.spamTargets {
-			a.outBuf = append(a.outBuf, sim.Message{From: a.idx, To: to, Payload: NewPayload{
-				NewID: a.rng.Intn(a.n) + 1, SizeSmallN: a.n,
-			}})
+			boxes = a.sendNew(boxes, to, a.rng.Intn(a.n)+1)
 		}
 	default:
 		return nil
@@ -255,10 +262,28 @@ func (a *ByzAttacker) fakeNew(round int) {
 	if round%3 != 0 {
 		return
 	}
+	boxes := a.newBoxes(round, 4)
 	for k := 0; k < 4; k++ {
 		to := a.rng.Intn(a.n)
-		a.outBuf = append(a.outBuf, sim.Message{From: a.idx, To: to, Payload: NewPayload{
-			NewID: a.rng.Intn(a.n) + 1, SizeSmallN: a.n,
-		}})
+		boxes = a.sendNew(boxes, to, a.rng.Intn(a.n)+1)
 	}
+}
+
+// newBoxes returns the round's NEW arena, emptied, with room for k
+// boxes. It never grows while messages point into it.
+func (a *ByzAttacker) newBoxes(round, k int) []PackedNew {
+	buf := &a.newBufs[round&1]
+	if cap(*buf) < k {
+		*buf = make([]PackedNew, 0, k)
+	}
+	return (*buf)[:0]
+}
+
+// sendNew encodes a fabricated NEW claiming identity id into the next
+// box of boxes and appends the message carrying it to outBuf. Fabricated
+// identities lie in [1, n], inside the codec's [0, N] width.
+func (a *ByzAttacker) sendNew(boxes []PackedNew, to, id int) []PackedNew {
+	boxes = append(boxes, a.codec.encodeNew(NewPayload{NewID: id}))
+	a.outBuf = append(a.outBuf, sim.Message{From: a.idx, To: to, Payload: &boxes[len(boxes)-1]})
+	return boxes
 }

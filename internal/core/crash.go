@@ -56,6 +56,9 @@ func (cfg CrashConfig) Validate() error {
 	if cfg.N < n {
 		return fmt.Errorf("core: namespace N=%d smaller than n=%d", cfg.N, n)
 	}
+	if err := checkCrashLayout(n, cfg.N); err != nil {
+		return err
+	}
 	seen := make(map[int]bool, n)
 	for i, id := range cfg.IDs {
 		if id < 1 || id > cfg.N {
@@ -74,11 +77,15 @@ func (cfg CrashConfig) Phases() int { return 3 * log2Ceil(len(cfg.IDs)) }
 
 // TotalRounds returns the number of synchronous rounds a full execution
 // takes: three per phase plus the final response-processing round.
-func (cfg CrashConfig) TotalRounds() int {
-	if cfg.Phases() == 0 {
+func (cfg CrashConfig) TotalRounds() int { return totalRounds(len(cfg.IDs)) }
+
+// totalRounds is TotalRounds for n nodes.
+func totalRounds(n int) int {
+	phases := 3 * log2Ceil(n)
+	if phases == 0 {
 		return 0
 	}
-	return 3*cfg.Phases() + 1
+	return 3*phases + 1
 }
 
 // CrashPeek is the adversary-visible snapshot of a crash node's state; it
@@ -147,17 +154,12 @@ type CrashNode struct {
 	// engine's one-round buffer slack: an outbox or payload written in
 	// round r is copied/delivered within round r and read by recipients
 	// in round r+1, while the owner rewrites it no earlier than round
-	// r+3 (the next occurrence of the same schedule slot).
-	outBuf    sim.Outbox    // outbox reused across every round
-	statusBox StatusPayload // the one status box multicast each phase
-	respBuf   []ResponsePayload
-
-	// codec and the packed arenas mirror statusBox/respBuf in the
-	// bit-packed wire representation (see crashCodec): the same one-round
-	// slack contract, a quarter the bytes per in-flight payload.
+	// r+3 (the next occurrence of the same schedule slot). Payloads are
+	// bit-packed by codec (see crashCodec).
+	outBuf          sim.Outbox // outbox reused across every round
 	codec           crashCodec
-	packedStatusBox PackedStatus
-	packedRespBuf   []PackedResponse
+	packedStatusBox PackedStatus     // the one status box multicast each phase
+	packedRespBuf   []PackedResponse // private response arena
 
 	// plan is the node's private committee computation, used when this
 	// member's inbox content differs from the one the shared aggregate
@@ -289,20 +291,9 @@ func (node *CrashNode) Step(round int, inbox []sim.Message) sim.Outbox {
 		}
 		// One status box per phase, shared by every copy of the
 		// multicast; recipients read it next round, long before the
-		// next rewrite two rounds later. The box is bit-packed when the
-		// codec's two-word layout fits the namespace.
-		status := StatusPayload{
-			ID: node.id, I: node.iv, D: node.d, P: node.p,
-			SizeN: node.cfg.N, SizeSmallN: node.n,
-		}
-		var payload sim.Payload
-		if node.codec.packed {
-			node.packedStatusBox = node.codec.encodeStatus(status)
-			payload = &node.packedStatusBox
-		} else {
-			node.statusBox = status
-			payload = &node.statusBox
-		}
+		// next rewrite two rounds later.
+		node.packedStatusBox = node.codec.encodeStatus(StatusPayload{ID: node.id, I: node.iv, D: node.d, P: node.p})
+		payload := &node.packedStatusBox
 		// Shared-multicast representation: when this node's committee view
 		// matches the phase's canonical set (it always does in failure-free
 		// phases — every node derives it from the same Notify broadcasts),
@@ -361,7 +352,7 @@ type ivGroup struct {
 // bound to the same shared status aggregate one plan serves all K of
 // them (see committeeAggregate).
 type committeePlan struct {
-	statusDec []StatusPayload // decoded packed statuses (pointer-stable arena)
+	statusDec []StatusPayload // decoded statuses (pointer-stable arena)
 	statuses  []statusMsg     // collected status pointers, inbox order
 	groups    []ivGroup       // distinct intervals
 	groupIdx  []int32         // per status → group index
@@ -398,21 +389,20 @@ type committeePlan struct {
 // grouped.
 func (pl *committeePlan) compute(codec *crashCodec, cfg CrashConfig, n int, inbox []sim.Message) {
 	statuses := pl.statuses[:0]
-	// Packed statuses are decoded into a pre-sized arena so the pointers
+	// Statuses are decoded into a pre-sized arena so the pointers
 	// collected into statuses stay valid (no growth reallocations).
 	if cap(pl.statusDec) < len(inbox) {
 		pl.statusDec = make([]StatusPayload, 0, len(inbox))
 	}
 	dec := pl.statusDec[:0]
 	for _, msg := range inbox {
-		switch s := msg.Payload.(type) {
-		case *PackedStatus:
-			dec = dec[:len(dec)+1]
-			codec.decodeStatus(s, &dec[len(dec)-1])
-			statuses = append(statuses, statusMsg{link: msg.From, s: &dec[len(dec)-1]})
-		case *StatusPayload:
-			statuses = append(statuses, statusMsg{link: msg.From, s: s})
+		s, ok := msg.Payload.(*PackedStatus)
+		if !ok {
+			continue
 		}
+		dec = dec[:len(dec)+1]
+		codec.decodeStatus(s, &dec[len(dec)-1])
+		statuses = append(statuses, statusMsg{link: msg.From, s: &dec[len(dec)-1]})
 	}
 	pl.statusDec = dec
 	pl.statuses = statuses
@@ -555,7 +545,7 @@ func (pl *committeePlan) compute(codec *crashCodec, cfg CrashConfig, n int, inbo
 	early := cfg.EarlyStop && allUnit
 	for j, m := range statuses {
 		w := m.s
-		resp := ResponsePayload{ID: w.ID, SizeN: cfg.N, SizeSmallN: n, Done: early}
+		resp := ResponsePayload{ID: w.ID, Done: early}
 		switch {
 		case w.D != minDepth:
 			// Deeper than the frontier: echo unchanged (Figure 2 line 11).
@@ -613,7 +603,6 @@ type committeeAggregate struct {
 	encoded   bool
 	encP      int // p stamped into the shared arena
 	packedBuf []PackedResponse
-	respBuf   []ResponsePayload
 }
 
 // sameContent reports whether two committee-round inboxes carry the same
@@ -638,15 +627,9 @@ func sameContent(a, b []sim.Message) bool {
 // sameStatus reports whether x and y are the same status box. Any other
 // payload compares unequal, sending the member down the private path.
 func sameStatus(x, y sim.Payload) bool {
-	switch p := x.(type) {
-	case *PackedStatus:
-		q, ok := y.(*PackedStatus)
-		return ok && p == q
-	case *StatusPayload:
-		q, ok := y.(*StatusPayload)
-		return ok && p == q
-	}
-	return false
+	p, ok := x.(*PackedStatus)
+	q, ok2 := y.(*PackedStatus)
+	return ok && ok2 && p == q
 }
 
 // committeeAction implements Figure 2 for one member. The inbox-pure
@@ -706,27 +689,15 @@ func (node *CrashNode) committeeShared(round int, inbox []sim.Message) (sim.Outb
 		// members adopt max(own p, maxP), so in the common uniform-p case
 		// everyone reuses these boxes.
 		agg.encP = node.p
-		if node.codec.packed {
-			if cap(agg.packedBuf) < len(pl.respBase) {
-				agg.packedBuf = make([]PackedResponse, len(pl.respBase))
-			}
-			buf := agg.packedBuf[:len(pl.respBase)]
-			for j, resp := range pl.respBase {
-				resp.P = node.p
-				buf[j] = node.codec.encodeResponse(resp)
-			}
-			agg.packedBuf = buf
-		} else {
-			if cap(agg.respBuf) < len(pl.respBase) {
-				agg.respBuf = make([]ResponsePayload, len(pl.respBase))
-			}
-			buf := agg.respBuf[:len(pl.respBase)]
-			for j, resp := range pl.respBase {
-				resp.P = node.p
-				buf[j] = resp
-			}
-			agg.respBuf = buf
+		if cap(agg.packedBuf) < len(pl.respBase) {
+			agg.packedBuf = make([]PackedResponse, len(pl.respBase))
 		}
+		buf := agg.packedBuf[:len(pl.respBase)]
+		for j, resp := range pl.respBase {
+			resp.P = node.p
+			buf[j] = node.codec.encodeResponse(resp)
+		}
+		agg.packedBuf = buf
 		agg.encoded = true
 	}
 	reuse := agg.encP == node.p
@@ -740,14 +711,8 @@ func (node *CrashNode) committeeShared(round int, inbox []sim.Message) (sim.Outb
 		return node.emitResponses(pl), true
 	}
 	out := node.outbox(len(pl.respBase))
-	if node.codec.packed {
-		for j := range pl.respBase {
-			out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &agg.packedBuf[j]})
-		}
-	} else {
-		for j := range pl.respBase {
-			out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &agg.respBuf[j]})
-		}
+	for j := range pl.respBase {
+		out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &agg.packedBuf[j]})
 	}
 	node.outBuf = out
 	return out, true
@@ -763,34 +728,20 @@ func (node *CrashNode) outbox(n int) sim.Outbox {
 }
 
 // emitResponses stamps the member's p into the plan's response
-// decisions and encodes them into the node-owned arena (packed when the
-// codec layout fits); recipients read the boxes next round, before the
-// next committee round rewrites them.
+// decisions and encodes them into the node-owned arena; recipients read
+// the boxes next round, before the next committee round rewrites them.
 func (node *CrashNode) emitResponses(pl *committeePlan) sim.Outbox {
 	out := node.outbox(len(pl.respBase))
-	if node.codec.packed {
-		if cap(node.packedRespBuf) < len(pl.respBase) {
-			node.packedRespBuf = make([]PackedResponse, len(pl.respBase))
-		}
-		packedBuf := node.packedRespBuf[:len(pl.respBase)]
-		for j, resp := range pl.respBase {
-			resp.P = node.p
-			packedBuf[j] = node.codec.encodeResponse(resp)
-			out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &packedBuf[j]})
-		}
-		node.packedRespBuf = packedBuf
-	} else {
-		if cap(node.respBuf) < len(pl.respBase) {
-			node.respBuf = make([]ResponsePayload, len(pl.respBase))
-		}
-		respBuf := node.respBuf[:len(pl.respBase)]
-		for j, resp := range pl.respBase {
-			resp.P = node.p
-			respBuf[j] = resp
-			out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &respBuf[j]})
-		}
-		node.respBuf = respBuf
+	if cap(node.packedRespBuf) < len(pl.respBase) {
+		node.packedRespBuf = make([]PackedResponse, len(pl.respBase))
 	}
+	packedBuf := node.packedRespBuf[:len(pl.respBase)]
+	for j, resp := range pl.respBase {
+		resp.P = node.p
+		packedBuf[j] = node.codec.encodeResponse(resp)
+		out = append(out, sim.Message{From: node.idx, To: int(pl.links[j]), Payload: &packedBuf[j]})
+	}
+	node.packedRespBuf = packedBuf
 	node.outBuf = out
 	return out
 }
@@ -815,19 +766,16 @@ func (node *CrashNode) nodeAction(round int, inbox []sim.Message) {
 	var lastPacked *PackedResponse
 	var lastDec ResponsePayload
 	for _, msg := range inbox {
-		var r ResponsePayload
-		switch p := msg.Payload.(type) {
-		case *PackedResponse:
-			if p == lastPacked {
-				r = lastDec
-			} else {
-				node.codec.decodeResponse(p, &r)
-				lastPacked, lastDec = p, r
-			}
-		case *ResponsePayload:
-			r = *p
-		default:
+		p, ok := msg.Payload.(*PackedResponse)
+		if !ok {
 			continue
+		}
+		var r ResponsePayload
+		if p == lastPacked {
+			r = lastDec
+		} else {
+			node.codec.decodeResponse(p, &r)
+			lastPacked, lastDec = p, r
 		}
 		if !haveBest || r.D > best.D || (r.D == best.D && interval.Less(r.I, best.I)) {
 			best = r

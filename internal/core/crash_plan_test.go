@@ -13,16 +13,12 @@ import (
 // planStatuses returns one packed status box per link of cfg: the lower
 // half at the frontier depth 0 with the full interval, the upper half one
 // level deeper, so the plan both halves and echoes.
-func planStatuses(t *testing.T, cfg CrashConfig) []PackedStatus {
-	t.Helper()
+func planStatuses(cfg CrashConfig) []PackedStatus {
 	n := len(cfg.IDs)
 	codec := newCrashCodec(cfg)
-	if !codec.packed {
-		t.Fatal("config does not fit the packed status layout")
-	}
 	boxes := make([]PackedStatus, n)
 	for i := range boxes {
-		st := StatusPayload{ID: cfg.IDs[i], I: interval.Full(n), SizeN: cfg.N, SizeSmallN: n}
+		st := StatusPayload{ID: cfg.IDs[i], I: interval.Full(n)}
 		if i >= n/2 {
 			st.I, st.D, st.P = interval.Full(n).Top(), 1, 1
 		}
@@ -67,7 +63,7 @@ func sameOutbox(t *testing.T, name string, got, want sim.Outbox) {
 // member would.
 func TestCommitteePlanKeyedOnContent(t *testing.T) {
 	cfg := seqConfig(64, 1024, 7)
-	boxes := planStatuses(t, cfg)
+	boxes := planStatuses(cfg)
 	copied := append([]PackedStatus(nil), boxes...)
 	const round = 2
 	agg := new(committeeAggregate)

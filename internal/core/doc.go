@@ -55,4 +55,15 @@
 // messages), and spam. The committee views of correct nodes are
 // instantiated under the common-view assumption of Lemmas 3.3/3.4; see
 // DESIGN.md §2 for the modelling note.
+//
+// # Wire forms
+//
+// The high-volume kinds have one wire form each: crash status and
+// response travel as two-word PackedStatus/PackedResponse boxes
+// (crashCodec), Byzantine NEW as a one-word PackedNew (byzCodec), for
+// honest senders and attackers alike. StatusPayload, ResponsePayload and
+// NewPayload are only the decoded data. The codecs alone hold the
+// billing formula — the paper's field widths, independent of the packed
+// layout — and CrashConfig.Validate rejects the astronomically large
+// (n, N) whose crash layout would not fit 128 bits.
 package core

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"renaming/internal/sim"
@@ -124,5 +125,67 @@ func FuzzByzantineRenaming(f *testing.F) {
 		}
 		run.checkStrongOrderPreserving(t)
 		run.checkPartitions(t)
+	})
+}
+
+// FuzzAbsorbNew feeds arbitrary NEW words — the one wire form, which a
+// Byzantine member controls bit for bit — into a ByzNode waiting for its
+// new identity, on committee and non-committee links, then runs the
+// decision rule. Each 9-byte record of data is a sender link byte and a
+// little-endian 64-bit word. Decoding must never panic, only committee
+// links may add a vote (at most one each), and fewer than ⌈m/3⌉ voters —
+// every vote a sub-third Byzantine committee share can cast — must never
+// decide.
+func FuzzAbsorbNew(f *testing.F) {
+	const n = 32
+	cfg := byzConfig(n, 6*n, 1, 0).Precompute()
+	record := func(link byte, w uint64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte{link}, w)
+	}
+	codec := newByzCodec(n, cfg.N)
+	vote := codec.encodeNew(NewPayload{NewID: 5}).w
+	var quorum []byte
+	for _, link := range []byte{1, 3, 5, 7} {
+		quorum = append(quorum, record(link, vote)...)
+	}
+	f.Add(uint8(3), quorum)
+	f.Add(uint8(3), append(record(2, vote), record(4, vote)...))
+	f.Add(uint8(11), append(record(1, ^uint64(0)), record(1, 0)...))
+	f.Add(uint8(11), record(1, vote))
+	f.Add(uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, members uint8, data []byte) {
+		node := NewByzNode(cfg, 0)
+		node.phase = phWait
+		m := 1 + int(members)%12
+		for k := 0; k < m; k++ {
+			node.memberLinks = append(node.memberLinks, 1+2*k) // odd links vote, even links do not
+		}
+		boxes := make([]PackedNew, 0, len(data)/9)
+		var inbox []sim.Message
+		voters := make(map[int]bool)
+		for i := 0; i+9 <= len(data); i += 9 {
+			link := int(data[i]) % n
+			boxes = append(boxes, PackedNew{w: binary.LittleEndian.Uint64(data[i+1:]), bits: codec.bits})
+			inbox = append(inbox, sim.Message{From: link, To: 0, Payload: &boxes[len(boxes)-1]})
+			if link%2 == 1 && link < 2*m {
+				voters[link] = true
+			}
+		}
+		node.absorbNew(inbox)
+		node.tryDecide()
+		for link := range node.newVotes {
+			if !voters[link] {
+				t.Fatalf("link %d voted without being a committee member that sent NEW", link)
+			}
+		}
+		if len(node.newVotes) != len(voters) {
+			t.Fatalf("%d votes recorded from %d committee senders", len(node.newVotes), len(voters))
+		}
+		if node.decided && len(voters) < (m+2)/3 {
+			t.Fatalf("decided %d on %d fabricated votes of a %d-member committee", node.newID, len(voters), m)
+		}
+		if node.decided && len(voters) < m-((m+2)/3-1) {
+			t.Fatalf("decided below the two-thirds quorum: %d of %d", len(voters), m)
+		}
 	})
 }

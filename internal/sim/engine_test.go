@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/rand"
 	"testing"
 )
@@ -80,13 +81,11 @@ func (a *sharedRNGAdversary) Crashes(v View) []CrashOrder {
 	return orders
 }
 
-// runDetScenario executes a fixed adversarial scenario (crashes with
+// newDetScenario builds a fixed adversarial scenario (crashes with
 // shared-rng mid-send filters, Byzantine and rushing links, a CONGEST
-// budget, an observer) at the given engine worker count and returns a
-// fingerprint of everything observable: the per-round wire stream, final
-// node states, crash schedule, and every metric.
-func runDetScenario(t *testing.T, workers int) string {
-	t.Helper()
+// budget) at the given engine worker count, with extra options such as
+// an observer appended.
+func newDetScenario(workers int, opts ...Option) (*Network, []*detNode) {
 	const n = 48
 	nodes := make([]*detNode, n)
 	simNodes := make([]Node, n)
@@ -94,13 +93,24 @@ func runDetScenario(t *testing.T, workers int) string {
 		nodes[i] = &detNode{idx: i, n: n, state: uint64(i) + 1}
 		simNodes[i] = nodes[i]
 	}
-	wire := fnv.New64a()
-	nw := NewNetwork(simNodes,
+	nw := NewNetwork(simNodes, append([]Option{
 		WithCrashAdversary(&sharedRNGAdversary{rng: rand.New(rand.NewSource(42))}),
 		WithByzantine([]int{3, 17, 31}),
 		WithRushing([]int{3, 17}),
 		WithCongestLimit(24),
 		WithEngineWorkers(workers),
+	}, opts...)...)
+	return nw, nodes
+}
+
+// runDetScenario executes the det scenario at the given engine worker
+// count and returns a fingerprint of everything observable: the
+// per-round wire stream, final node states, crash schedule, and every
+// metric.
+func runDetScenario(t *testing.T, workers int) string {
+	t.Helper()
+	wire := fnv.New64a()
+	nw, nodes := newDetScenario(workers,
 		WithObserver(func(round int, delivered []Message) {
 			fmt.Fprintf(wire, "r%d:", round)
 			for _, msg := range delivered {
@@ -119,6 +129,47 @@ func runDetScenario(t *testing.T, workers int) string {
 		fp += fmt.Sprintf(" s%d=%x@%d", i, nodes[i].state, nw.CrashedAt(i))
 	}
 	return fp
+}
+
+// TestRoundDigestMatchesObserver pins the digest contract telemetry
+// relies on: on the det scenario, each round's RoundDigest carries
+// exactly the message count, bits and per-kind counts of the stream
+// WithObserver delivers for that round, quiet rounds included.
+func TestRoundDigestMatchesObserver(t *testing.T) {
+	type tally struct {
+		round          int
+		messages, bits int64
+		perKind        map[string]int64
+	}
+	for _, workers := range []int{1, 4} {
+		var observed, digested []tally
+		nw, _ := newDetScenario(workers,
+			WithObserver(func(round int, delivered []Message) {
+				r := tally{round: round, perKind: make(map[string]int64)}
+				for _, msg := range delivered {
+					r.messages++
+					r.bits += int64(msg.Payload.Bits())
+					r.perKind[msg.Payload.Kind()]++
+				}
+				observed = append(observed, r)
+			}),
+			WithRoundDigest(func(d RoundDigest) {
+				digested = append(digested, tally{round: d.Round, messages: d.Messages, bits: d.Bits, perKind: maps.Clone(d.PerKind)})
+			}))
+		for r := 0; r < 16; r++ {
+			nw.StepRound()
+		}
+		nw.Close()
+		if len(observed) != 16 || len(digested) != 16 {
+			t.Fatalf("workers=%d: %d observed and %d digested rounds, want 16 each", workers, len(observed), len(digested))
+		}
+		for i := range observed {
+			o, d := observed[i], digested[i]
+			if o.round != d.round || o.messages != d.messages || o.bits != d.bits || !maps.Equal(o.perKind, d.perKind) {
+				t.Fatalf("workers=%d round %d: digest %+v, observer %+v", workers, i, d, o)
+			}
+		}
+	}
 }
 
 // TestEngineDeterministicAcrossWorkers is the tentpole safety net: the

@@ -1,12 +1,12 @@
 // Package trace records per-round communication summaries of an
 // execution, for debugging protocol schedules and for the examples'
-// narrative output. A full Recorder (NewRecorder) retains one
-// RoundSummary per round and is fed through sim.WithObserver; a
-// streaming Recorder (NewStreamingRecorder) retains only the compact
-// per-round series Summary needs — 8 bytes per round plus online
-// maxima, never a per-message or per-node structure — and is fed
-// through sim.WithRoundDigest, which is the right shape for the
-// million-node sweeps (see docs/MEMORY.md).
+// narrative output. Every Recorder is fed through sim.WithRoundDigest
+// and keeps the compact per-round series Summary needs — 8 bytes per
+// round plus online maxima, never a per-message or per-node structure,
+// the right shape for the million-node sweeps (see docs/MEMORY.md). A
+// Recorder from NewRecorder additionally retains one RoundSummary per
+// round for the timeline and CSV writers; NewStreamingRecorder keeps
+// only the series.
 package trace
 
 import (
@@ -34,53 +34,39 @@ type RoundSummary struct {
 // one summary — fully quiet rounds (no traffic) included — so a
 // recording's round count always equals the network's round count.
 type Recorder struct {
-	rounds []RoundSummary
-
-	// Streaming mode: only the per-round message series (the exact
-	// float64 values full-mode Summary would derive, so the two modes
-	// produce bit-identical statistics) plus online maxima. Rounds(),
-	// BusiestRound(), and the timeline/CSV writers need the retained
-	// summaries and are unavailable in this mode.
-	streaming       bool
+	// The per-round message series Summary derives its statistics from,
+	// plus online maxima.
 	msgs            []float64
 	busiestRound    int
 	busiestMessages int
 	peakBits        int
+
+	// keepRounds retains a RoundSummary per round for Rounds,
+	// BusiestRound and the timeline/CSV writers, which see nothing on a
+	// streaming recorder.
+	keepRounds bool
+	rounds     []RoundSummary
 }
 
 // NewRecorder returns an empty recorder retaining full per-round
 // summaries (timeline and CSV capable).
-func NewRecorder() *Recorder { return &Recorder{} }
+func NewRecorder() *Recorder { return &Recorder{keepRounds: true} }
 
 // NewStreamingRecorder returns a recorder that never materializes
 // per-round summaries: it keeps one float64 per round and online
-// maxima, enough for Summary and nothing else. Feed it through
-// sim.WithRoundDigest.
-func NewStreamingRecorder() *Recorder { return &Recorder{streaming: true} }
+// maxima, enough for Summary and nothing else.
+func NewStreamingRecorder() *Recorder { return &Recorder{} }
 
-// Observe is the sim.WithObserver callback.
-func (r *Recorder) Observe(round int, delivered []sim.Message) {
-	summary := RoundSummary{Round: round, ByKind: make(map[string]int)}
-	for _, msg := range delivered {
-		summary.Messages++
-		summary.Bits += msg.Payload.Bits()
-		summary.ByKind[msg.Payload.Kind()]++
-	}
-	r.rounds = append(r.rounds, summary)
-}
-
-// ObserveDigest is the sim.WithRoundDigest callback. In streaming mode
-// it folds the digest into the compact series; in full mode it
-// materializes the same RoundSummary Observe would have built (the
-// digest carries identical totals).
+// ObserveDigest is the sim.WithRoundDigest callback: it folds the
+// digest into the series and, on a recorder from NewRecorder, retains
+// it as a RoundSummary.
 func (r *Recorder) ObserveDigest(d sim.RoundDigest) {
-	if !r.streaming {
+	if r.keepRounds {
 		summary := RoundSummary{Round: d.Round, Messages: int(d.Messages), Bits: int(d.Bits), ByKind: make(map[string]int, len(d.PerKind))}
 		for k, v := range d.PerKind {
 			summary.ByKind[k] = int(v)
 		}
 		r.rounds = append(r.rounds, summary)
-		return
 	}
 	if len(r.msgs) == 0 {
 		r.busiestRound = d.Round
@@ -133,40 +119,18 @@ type Summary struct {
 
 // Summary computes the recording's traffic profile.
 func (r *Recorder) Summary() Summary {
-	if r.streaming {
-		if len(r.msgs) == 0 {
-			return Summary{}
-		}
-		out := Summary{
-			Rounds:          len(r.msgs),
-			BusiestRound:    r.busiestRound,
-			BusiestMessages: r.busiestMessages,
-			PeakBits:        r.peakBits,
-		}
-		sum := stats.Summarize(r.msgs)
-		out.MeanMessages = sum.Mean
-		out.StddevMessages = sum.Stddev
-		return out
-	}
-	if len(r.rounds) == 0 {
+	if len(r.msgs) == 0 {
 		return Summary{}
 	}
-	msgs := make([]float64, len(r.rounds))
-	out := Summary{Rounds: len(r.rounds), BusiestRound: r.rounds[0].Round}
-	for i, s := range r.rounds {
-		msgs[i] = float64(s.Messages)
-		if s.Messages > out.BusiestMessages {
-			out.BusiestMessages = s.Messages
-			out.BusiestRound = s.Round
-		}
-		if s.Bits > out.PeakBits {
-			out.PeakBits = s.Bits
-		}
+	sum := stats.Summarize(r.msgs)
+	return Summary{
+		Rounds:          len(r.msgs),
+		BusiestRound:    r.busiestRound,
+		BusiestMessages: r.busiestMessages,
+		PeakBits:        r.peakBits,
+		MeanMessages:    sum.Mean,
+		StddevMessages:  sum.Stddev,
 	}
-	sum := stats.Summarize(msgs)
-	out.MeanMessages = sum.Mean
-	out.StddevMessages = sum.Stddev
-	return out
 }
 
 // WriteTimeline renders a compact per-round table to w, eliding quiet

@@ -162,12 +162,11 @@ func runCrash(n int, spec CrashSpec, pool *sim.Pool) (*Result, error) {
 	var recorder *trace.Recorder
 	if spec.Trace != nil {
 		recorder = trace.NewRecorder()
-		opts = append(opts, sim.WithObserver(recorder.Observe))
 	} else if spec.Profile {
-		// Profile-only runs need Summary, not the per-round timeline, so
-		// the streaming recorder's digest feed avoids materializing the
-		// round's delivered-message slice for the observer.
+		// Profile-only runs need Summary, not the per-round timeline.
 		recorder = trace.NewStreamingRecorder()
+	}
+	if recorder != nil {
 		opts = append(opts, sim.WithRoundDigest(recorder.ObserveDigest))
 	}
 	if spec.CongestLimit > 0 {
