@@ -18,6 +18,7 @@ ci:
 	$(GO) test -run '^$$' -bench 'MidSendCompaction|LazyRandDraw' -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench MidSendFilter -benchtime 1x ./internal/adversary
 	$(GO) test -run '^$$' -bench ByzStepRound -benchtime 1x .
+	$(GO) test -run '^$$' -bench ByzWholeRun -benchtime 1x .
 	$(GO) test -run '^$$' -bench CrashStepRound -benchtime 1x .
 	$(GO) test -run '^$$' -bench CrashSetup -benchtime 1x .
 	$(GO) test -run '^$$' -bench ChurnEpoch -benchtime 1x .
@@ -60,11 +61,12 @@ cover:
 # Byzantine-path benchmark additionally lands in BENCH_byz.json, every
 # crash-path benchmark in BENCH_crash.json, the churn-service
 # benchmarks in BENCH_churn.json, and the simulation substrate's
-# (engine, node coins, mid-send filters: every benchmark of internal/sim
-# and internal/adversary) in BENCH_sim.json, the structured before/after
+# (engine, node coins, mid-send filters, identity lists, fingerprints:
+# every benchmark of internal/sim, internal/adversary, internal/bitvec
+# and internal/hashing) in BENCH_sim.json, the structured before/after
 # ledgers (cmd/benchjson chains: each stage records its matches and
 # passes the text through).
-SIM_PKGS = renaming/internal/sim,renaming/internal/adversary
+SIM_PKGS = renaming/internal/sim,renaming/internal/adversary,renaming/internal/bitvec,renaming/internal/hashing
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./... \

@@ -79,3 +79,44 @@ func BenchmarkByzStepRound(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkByzWholeRun measures whole Byzantine executions — set-up
+// through termination — in the shape of the byz-split workload: n =
+// 4096, N = 8n random identities, PoolProb 16/n and two split-world
+// attackers at AdversaryLinks(n, 2). Each op is one RunByzantine over
+// the next seed of a fixed list of eight; rounds/op reports the mix of
+// committee-loop lengths the timed ops covered.
+func BenchmarkByzWholeRun(b *testing.B) {
+	const n = 4096
+	links, err := renaming.AdversaryLinks(n, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	behaviors := make(map[int]renaming.Behavior, len(links))
+	for _, link := range links {
+		behaviors[link] = renaming.BehaviorSplitWorld
+	}
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	specs := make([]renaming.ByzSpec, len(seeds))
+	for k, seed := range seeds {
+		ids, err := renaming.GenerateIDs(n, 8*n, renaming.IDsRandom, seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		specs[k] = renaming.ByzSpec{N: 8 * n, IDs: ids, Seed: seed, PoolProb: 16.0 / n, Byzantine: behaviors}
+	}
+	rounds := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := renaming.RunByzantine(n, specs[i%len(specs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Unique {
+			b.Fatal("run did not produce unique names")
+		}
+		rounds += res.Rounds
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+}

@@ -38,3 +38,15 @@ func BenchmarkSegmentWords(b *testing.B) {
 		_ = v.SegmentWords(1, 1<<12)
 	}
 }
+
+// BenchmarkRanks is BenchmarkRank through a Ranks table, the way a
+// committee member ranks every identity it distributes: one table per
+// list, then O(1) per query.
+func BenchmarkRanks(b *testing.B) {
+	v := benchVector(1<<16, 1<<12)
+	ranks := v.Ranks()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = ranks.Rank(i%(1<<16) + 1)
+	}
+}

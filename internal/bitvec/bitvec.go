@@ -88,6 +88,33 @@ func (v *Vector) Rank(pos int) int {
 	return v.CountRange(1, pos-1)
 }
 
+// Ranks answers Rank queries in O(1) each from a per-word prefix-popcount
+// table. It reads the vector's words, so it is valid only while the
+// vector is unchanged.
+type Ranks struct {
+	v      *Vector
+	before []int // before[k]: ones in words[0:k]
+}
+
+// Ranks builds the rank table in one O(N/64) pass.
+func (v *Vector) Ranks() Ranks {
+	before := make([]int, len(v.words))
+	total := 0
+	for k, w := range v.words {
+		before[k] = total
+		total += bits.OnesCount64(w)
+	}
+	return Ranks{v: v, before: before}
+}
+
+// Rank returns the number of ones strictly before position pos, exactly
+// as Vector.Rank does.
+func (r Ranks) Rank(pos int) int {
+	r.v.check(pos)
+	i, off := (pos-1)/64, uint((pos-1)%64)
+	return r.before[i] + bits.OnesCount64(r.v.words[i]&(1<<off-1))
+}
+
 // Ones returns the positions of all ones in ascending order.
 func (v *Vector) Ones() []int {
 	out := make([]int, 0, v.Count())
@@ -132,10 +159,16 @@ func (v *Vector) SegmentWords(lo, hi int) []uint64 {
 	v.check(hi)
 	length := hi - lo + 1
 	out := make([]uint64, (length+63)/64)
-	for i := 0; i < length; i++ {
-		if v.Get(lo + i) {
-			out[i/64] |= 1 << uint(i%64)
+	first, shift := (lo-1)/64, uint((lo-1)%64)
+	for k := range out {
+		w := v.words[first+k] >> shift
+		if shift != 0 && first+k+1 < len(v.words) {
+			w |= v.words[first+k+1] << (64 - shift)
 		}
+		out[k] = w
+	}
+	if tail := uint(length % 64); tail != 0 {
+		out[len(out)-1] &= 1<<tail - 1
 	}
 	return out
 }

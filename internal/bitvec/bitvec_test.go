@@ -190,3 +190,39 @@ func TestQuickRankCount(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSegmentWordsAndRanksBoundaries pins SegmentWords and the Ranks
+// table against the boolean model at n = 97 (a partial last word) and
+// n = 128 (two full words), with lo and hi on and off word boundaries
+// and hi = n.
+func TestSegmentWordsAndRanksBoundaries(t *testing.T) {
+	for _, n := range []int{97, 128} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		v := New(n)
+		ref := make([]bool, n+1)
+		for pos := 1; pos <= n; pos++ {
+			if rng.Intn(2) == 0 {
+				v.Set(pos)
+				ref[pos] = true
+			}
+		}
+		ranks := v.Ranks()
+		total := 0
+		for pos := 1; pos <= n; pos++ {
+			if got := ranks.Rank(pos); got != total {
+				t.Fatalf("n=%d: ranks table at %d = %d, want %d", n, pos, got, total)
+			}
+			if ref[pos] {
+				total++
+			}
+		}
+		edges := []int{1, 2, 63, 64, 65, 66, 96, 97, n - 1, n}
+		for _, lo := range edges {
+			for _, hi := range edges {
+				if lo <= hi && hi <= n {
+					checkSegment(t, v, ref, lo, hi)
+				}
+			}
+		}
+	}
+}

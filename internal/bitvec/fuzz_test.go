@@ -3,9 +3,11 @@ package bitvec
 import "testing"
 
 // FuzzOperations replays a byte-encoded operation sequence against a
-// naive boolean-slice reference model. Each byte encodes an operation
-// (set / clear / replace-range) and its position; after the sequence,
-// every rank, count, and segment query must match the model.
+// naive boolean-slice reference model. Each byte pair encodes an
+// operation (set / clear / replace-range) and its position; after the
+// sequence, every rank (Rank and the Ranks table), count and segment
+// query must match the model — SegmentWords over a (lo, hi) pair drawn
+// from each operation's bytes.
 func FuzzOperations(f *testing.F) {
 	f.Add([]byte{0x00, 0x41, 0x82, 0xc3})
 	f.Add([]byte{0xff, 0x01, 0x80})
@@ -36,12 +38,16 @@ func FuzzOperations(f *testing.F) {
 			}
 		}
 		total := 0
+		ranks := v.Ranks()
 		for pos := 1; pos <= n; pos++ {
 			if v.Get(pos) != ref[pos] {
 				t.Fatalf("bit %d: got %v want %v", pos, v.Get(pos), ref[pos])
 			}
 			if got := v.Rank(pos); got != total {
 				t.Fatalf("rank(%d): got %d want %d", pos, got, total)
+			}
+			if got := ranks.Rank(pos); got != total {
+				t.Fatalf("ranks table at %d: got %d want %d", pos, got, total)
 			}
 			if ref[pos] {
 				total++
@@ -60,5 +66,28 @@ func FuzzOperations(f *testing.F) {
 		if got := v.CountRange(1, mid); got != lo {
 			t.Fatalf("countRange(1,%d): got %d want %d", mid, got, lo)
 		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			a, b := int(ops[i])%n+1, int(ops[i+1])%n+1
+			checkSegment(t, v, ref, min(a, b), max(a, b))
+		}
+		checkSegment(t, v, ref, 1, n)
 	})
+}
+
+// checkSegment compares SegmentWords(lo, hi) bit for bit with the
+// boolean model: segment bit i is position lo+i, and every bit past the
+// segment's length is zero.
+func checkSegment(t *testing.T, v *Vector, ref []bool, lo, hi int) {
+	t.Helper()
+	words := v.SegmentWords(lo, hi)
+	length := hi - lo + 1
+	if len(words) != (length+63)/64 {
+		t.Fatalf("SegmentWords(%d,%d): %d words for %d bits", lo, hi, len(words), length)
+	}
+	for i := 0; i < 64*len(words); i++ {
+		got := words[i/64]>>(i%64)&1 == 1
+		if want := i < length && ref[lo+i]; got != want {
+			t.Fatalf("SegmentWords(%d,%d) bit %d: got %v want %v", lo, hi, i, got, want)
+		}
+	}
 }

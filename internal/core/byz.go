@@ -62,19 +62,19 @@ type ByzNode struct {
 	memberLinks []int
 
 	// Committee-member state.
-	list      *bitvec.Vector
-	knownLink map[int]int // id → link for identities heard directly
-	stack     []interval.Interval
-	processed []interval.Interval
-	dirty     []interval.Interval
-	stage     loopStage
-	machine   consensus.Machine
-	pc        int
-	cur       interval.Interval
-	curVal    consensus.Value // my ⟨fingerprint, count⟩ for cur
-	agreedVal consensus.Value // validator output ⟨s', cnt'⟩
-	diffBit   bool
-	loopDone  bool
+	list       *bitvec.Vector
+	knownLinks []int // links whose identity was heard directly, in inbox order
+	stack      []interval.Interval
+	processed  []interval.Interval
+	dirty      []interval.Interval
+	stage      loopStage
+	machine    consensus.Machine
+	pc         int
+	cur        interval.Interval
+	curVal     consensus.Value // my ⟨fingerprint, count⟩ for cur
+	agreedVal  consensus.Value // validator output ⟨s', cnt'⟩
+	diffBit    bool
+	loopDone   bool
 	// iterations counts divide-and-conquer iterations (segments
 	// processed), the quantity Lemma 3.10 bounds by 4·f·log N.
 	iterations int
@@ -111,7 +111,7 @@ type ByzNode struct {
 
 	// codec packs and unpacks NEW, built once per node. newBuf is the
 	// distribution arena: one PackedNew per known identity, sent by
-	// pointer so the |knownLink| NEW messages of a committee member share
+	// pointer so the |knownLinks| NEW messages of a committee member share
 	// the arena instead of boxing a struct each.
 	codec  byzCodec
 	newBuf []PackedNew
@@ -125,14 +125,13 @@ var _ sim.Node = (*ByzNode)(nil)
 func NewByzNode(cfg ByzConfig, idx int) *ByzNode {
 	cfg = cfg.Precompute()
 	return &ByzNode{
-		idx:      idx,
-		id:       cfg.IDs[idx],
-		n:        len(cfg.IDs),
-		cfg:      cfg,
-		poolSet:  cfg.pre.poolSet,
-		phase:    phElect,
-		newVotes: make(map[int]NewPayload),
-		codec:    newByzCodec(len(cfg.IDs), cfg.N),
+		idx:     idx,
+		id:      cfg.IDs[idx],
+		n:       len(cfg.IDs),
+		cfg:     cfg,
+		poolSet: cfg.pre.poolSet,
+		phase:   phElect,
+		codec:   newByzCodec(len(cfg.IDs), cfg.N),
 	}
 }
 
@@ -260,7 +259,9 @@ func (node *ByzNode) stepAggregate(inbox []sim.Message) sim.Outbox {
 	if node.elected {
 		node.phase = phLoop
 		node.list = bitvec.New(node.cfg.N)
-		node.knownLink = make(map[int]int)
+		// Every node announces its identity to the committee, so a
+		// member hears from up to n identities.
+		node.knownLinks = make([]int, 0, node.n)
 		node.stack = []interval.Interval{interval.Full(node.cfg.N)}
 	} else {
 		node.phase = phWait
@@ -284,11 +285,13 @@ func (node *ByzNode) stepLoop(inbox []sim.Message) sim.Outbox {
 			if !ok {
 				continue
 			}
-			if !node.cfg.VerifyIdentity(msg.From, a.ID) {
+			// The identity binds the link, so a repeated announcement
+			// is one whose bit is already set.
+			if !node.cfg.VerifyIdentity(msg.From, a.ID) || node.list.Get(a.ID) {
 				continue
 			}
 			node.list.Set(a.ID)
-			node.knownLink[a.ID] = msg.From
+			node.knownLinks = append(node.knownLinks, msg.From)
 		}
 		node.startSegment()
 		node.pc++
@@ -506,14 +509,16 @@ func (node *ByzNode) wrapSub(msgs []consensus.Msg) {
 func (node *ByzNode) distribute() {
 	// Pre-size the arena: pointers into it must stay valid, so it cannot
 	// grow while messages reference it.
-	if cap(node.newBuf) < len(node.knownLink) {
-		node.newBuf = make([]PackedNew, 0, len(node.knownLink))
+	if cap(node.newBuf) < len(node.knownLinks) {
+		node.newBuf = make([]PackedNew, 0, len(node.knownLinks))
 	}
 	buf := node.newBuf[:0]
-	for id, link := range node.knownLink {
+	ranks := node.list.Ranks()
+	for _, link := range node.knownLinks {
+		id := node.cfg.IDs[link]
 		var payload NewPayload
 		if node.list.Get(id) && !node.inDirty(id) {
-			payload.NewID = node.list.Rank(id) + 1
+			payload.NewID = ranks.Rank(id) + 1
 		} else {
 			payload.Null = true
 		}
@@ -547,6 +552,10 @@ func (node *ByzNode) absorbNew(inbox []sim.Message) {
 		}
 		var p NewPayload
 		node.codec.decodeNew(v, &p)
+		if node.newVotes == nil {
+			// Sized once the committee is known: one vote per member.
+			node.newVotes = make(map[int]NewPayload, len(node.memberLinks))
+		}
 		node.newVotes[msg.From] = p
 		node.votesDirty = true
 	}

@@ -151,34 +151,78 @@ func fleetLog(nodes []*mixNode) string {
 	return b.String()
 }
 
-// runReferenceEngine executes the fleet on the obvious sequential model
-// the engine used to implement literally: every outbox expanded to
-// explicit per-recipient messages, the mid-send filter called once per
-// wire message in (sender, emission) order with its verdict kept per
-// message, kept messages billed and appended to their recipient's next
-// inbox, senders ascending.
-func runReferenceEngine(limit int) compactRun {
-	nodes, simNodes := newMixFleet()
+// refScenario is one execution for the sequential reference: a fresh
+// fleet, its crash adversary (and Peek), the rushing and Byzantine links
+// and the round count.
+type refScenario struct {
+	nodes     []Node
+	adv       CrashAdversary
+	peek      func(node int) any
+	rushing   []int // ascending
+	byzantine []int
+	rounds    int
+	limit     int
+}
+
+// runReference executes a scenario on the obvious sequential model the
+// engine used to implement literally. Every alive non-rushing node with
+// an empty inbox is polled every round and stepped unless it vouches
+// idle (Quiescent first, then QuiescentAt). Rushing nodes then step with
+// their inbox plus a preview of this round's messages addressed to them.
+// Every outbox is expanded to explicit per-recipient messages. A mid-send
+// filter is called once per previewed message, then once per wire
+// message in (sender, emission) order, with its verdict kept per
+// message. Kept messages are billed and appended to their recipient's
+// next inbox, senders ascending.
+func runReference(sc refScenario) (Metrics, []RoundDigest) {
+	nodes := sc.nodes
 	n := len(nodes)
 	sets := &Sets{}
 	sets.reset(n, false)
 	for _, nd := range nodes {
-		nd.UseSets(sets)
+		if su, ok := nd.(SetUser); ok {
+			su.UseSets(sets)
+		}
 	}
-	adv := &compactAdversary{rng: rand.New(rand.NewSource(compactSeed))}
+	rushing := make([]bool, n)
+	for _, r := range sc.rushing {
+		rushing[r] = true
+	}
+	byzantine := make([]bool, n)
+	for _, b := range sc.byzantine {
+		byzantine[b] = true
+	}
 	m := NewMetrics()
 	m.sizeFor(n)
-	m.CongestLimit = limit
+	m.CongestLimit = sc.limit
 	alive := make([]bool, n)
 	for i := range alive {
 		alive[i] = true
 	}
+	expand := func(s int, out Outbox) []Message {
+		var wire []Message
+		for _, msg := range out {
+			switch {
+			case msg.To == ToAll:
+				for to := 0; to < n; to++ {
+					wire = append(wire, Message{From: s, To: to, Payload: msg.Payload})
+				}
+			case msg.To <= toSetBase:
+				for _, to := range sets.membersOf(toSetID(msg.To)) {
+					wire = append(wire, Message{From: s, To: int(to), Payload: msg.Payload})
+				}
+			default:
+				wire = append(wire, Message{From: s, To: msg.To, Payload: msg.Payload})
+			}
+		}
+		return wire
+	}
 	inboxes := make([][]Message, n)
 	var digests []RoundDigest
-	for r := 0; r < compactRounds; r++ {
-		view := View{Round: r, Alive: append([]bool(nil), alive...), Inbox: func(i int) []Message { return inboxes[i] }}
+	for r := 0; r < sc.rounds; r++ {
+		view := View{Round: r, Alive: append([]bool(nil), alive...), Inbox: func(i int) []Message { return inboxes[i] }, Peek: sc.peek}
 		filters := map[int]SendFilter{}
-		for _, o := range adv.Crashes(view) {
+		for _, o := range sc.adv.Crashes(view) {
 			if o.Node < 0 || o.Node >= n || !alive[o.Node] {
 				continue
 			}
@@ -187,45 +231,52 @@ func runReferenceEngine(limit int) compactRun {
 				filters[o.Node] = o.Filter
 			}
 		}
-		outs := make([]Outbox, n)
-		for i, nd := range simNodes {
-			if _, midSend := filters[i]; alive[i] || midSend {
-				outs[i] = nd.Step(r, inboxes[i])
+		steps := func(i int) bool {
+			_, midSend := filters[i]
+			return alive[i] || midSend
+		}
+		wire := make([][]Message, n)
+		for i, nd := range nodes {
+			if rushing[i] || !steps(i) || len(inboxes[i]) == 0 && vouchesIdle(nd, r) {
+				continue
+			}
+			wire[i] = expand(i, nd.Step(r, inboxes[i]))
+		}
+		previews := make([][]Message, n)
+		for s := range wire {
+			for _, msg := range wire[s] {
+				if !rushing[msg.To] || filters[s] != nil && !filters[s](msg.To) {
+					continue
+				}
+				previews[msg.To] = append(previews[msg.To], msg)
+			}
+		}
+		for _, i := range sc.rushing {
+			if steps(i) {
+				inbox := append(append([]Message(nil), inboxes[i]...), previews[i]...)
+				wire[i] = expand(i, nodes[i].Step(r, inbox))
 			}
 		}
 		next := make([][]Message, n)
 		d := RoundDigest{Round: r, PerKind: map[string]int64{}}
 		for s := 0; s < n; s++ {
-			var wire []Message
-			for _, msg := range outs[s] {
-				switch {
-				case msg.To == ToAll:
-					for to := 0; to < n; to++ {
-						wire = append(wire, Message{To: to, Payload: msg.Payload})
-					}
-				case msg.To <= toSetBase:
-					for _, to := range sets.membersOf(toSetID(msg.To)) {
-						wire = append(wire, Message{To: int(to), Payload: msg.Payload})
-					}
-				default:
-					wire = append(wire, msg)
-				}
+			keep := make([]bool, len(wire[s]))
+			for k := range wire[s] {
+				keep[k] = filters[s] == nil || filters[s](wire[s][k].To)
 			}
-			keep := make([]bool, len(wire))
-			for k := range wire {
-				keep[k] = filters[s] == nil || filters[s](wire[k].To)
-			}
-			for k, msg := range wire {
+			for k, msg := range wire[s] {
 				if !keep[k] {
 					continue
 				}
 				kind, bits := msg.Payload.Kind(), msg.Payload.Bits()
 				m.Messages++
 				m.Bits += int64(bits)
-				m.HonestMessages++
-				m.HonestBits += int64(bits)
+				if !byzantine[s] {
+					m.HonestMessages++
+					m.HonestBits += int64(bits)
+				}
 				m.MaxMessageBits = max(m.MaxMessageBits, bits)
-				if limit > 0 && bits > limit {
+				if sc.limit > 0 && bits > sc.limit {
 					m.OversizeMessages++
 				}
 				m.PerKind[kind]++
@@ -235,14 +286,38 @@ func runReferenceEngine(limit int) compactRun {
 				d.Messages++
 				d.Bits += int64(bits)
 				d.PerKind[kind]++
-				next[msg.To] = append(next[msg.To], Message{From: s, To: msg.To, Payload: msg.Payload})
+				next[msg.To] = append(next[msg.To], msg)
 			}
 		}
 		digests = append(digests, d)
 		inboxes = next
 	}
-	m.Rounds = compactRounds
-	return compactRun{log: fleetLog(nodes), metrics: *m, digests: digests}
+	m.Rounds = sc.rounds
+	return *m, digests
+}
+
+// vouchesIdle polls nd's quiescence contracts in the engine's order.
+func vouchesIdle(nd Node, round int) bool {
+	if q, ok := nd.(Quiescent); ok && q.Quiescent() {
+		return true
+	}
+	if q, ok := nd.(ScheduleQuiescent); ok && q.QuiescentAt(round) {
+		return true
+	}
+	return false
+}
+
+// runReferenceEngine replays the mid-send compaction scenario on the
+// sequential reference.
+func runReferenceEngine(limit int) compactRun {
+	nodes, simNodes := newMixFleet()
+	m, digests := runReference(refScenario{
+		nodes:  simNodes,
+		adv:    &compactAdversary{rng: rand.New(rand.NewSource(compactSeed))},
+		rounds: compactRounds,
+		limit:  limit,
+	})
+	return compactRun{log: fleetLog(nodes), metrics: m, digests: digests}
 }
 
 func runCompactEngine(t *testing.T, workers int, eager bool, limit int) compactRun {

@@ -34,10 +34,17 @@
 // Quiescence: a node implementing Quiescent (or registered through
 // ScheduleQuiescent) vouches that, on rounds where it reports quiescent
 // and its inbox is empty, Step would send nothing and change no state.
-// The engine then skips the node entirely — per-round work is
-// proportional to acted senders and delivered messages, not to n. The
-// contract is one-sided: the engine may still step a quiescent node
-// (e.g. when it has mail), so the vouch must be sound, not tight.
+// The engine then skips the Step call. A Quiescent answer depends on the
+// node's state alone and may change only inside Step, so a vouching
+// node is parked: coordinator-only rounds poll it again only once it
+// has mail, visiting just the nodes that stepped or vouched through
+// QuiescentAt the round before plus that round's recipients, in
+// ascending order. Per-round work in those rounds is proportional to
+// acted senders, schedule-quiescent nodes and delivered messages, not
+// to n; parallel rounds, and the first coordinator-only round after a
+// parallel or shared-aggregate round, scan all n. The contract is
+// one-sided: the engine may still step a quiescent node (e.g. when it
+// has mail), so the vouch must be sound, not tight.
 //
 // Determinism at any worker count: every adversary decision — including
 // stateful mid-send crash filters — is evaluated sequentially on the

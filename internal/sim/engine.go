@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 )
@@ -105,6 +106,21 @@ type engine struct {
 	prevStepped []int
 	mergeBuf    []int
 	prevFull    bool // last round ran parallel: acted/outs need a full reset
+
+	// Parking, for runs with at least one Quiescent node (parkable). A
+	// node polled with an empty inbox whose Quiescent() vouches is
+	// parked: its answer depends on its state alone, which only Step
+	// changes, so it is not polled again until it has mail. awake lists,
+	// ascending, the alive non-rushing nodes the next round must still
+	// poll: those that stepped and those elided only through
+	// QuiescentAt. parked reports that the last round was coordinator-
+	// only without shared-aggregate delivery, so awake ∪ prevRecip holds
+	// every node the next coordinator-only round has to visit; visit is
+	// the n-bit scratch set that walks that union in ascending order.
+	parkable bool
+	parked   bool
+	awake    []int
+	visit    []uint64
 
 	// Per-round state, all reused across rounds. The inbox tables hold
 	// views into the parity-alternating slabs; a view is only meaningful
@@ -272,6 +288,10 @@ func (e *engine) reset(nodes []Node) {
 	e.srcGen = growSpan(e.srcGen, n)
 	e.boundGen = growSpan(e.boundGen, n)
 	e.clsGen = growSpan(e.clsGen, n)
+	e.visit = growSpan(e.visit, (n+63)/64)
+	clear(e.visit)
+	e.parkable, e.parked = false, false
+	e.awake = e.awake[:0]
 	for i := 0; i < n; i++ {
 		e.alive[i] = true
 		e.crashedAt[i] = -1
@@ -290,6 +310,7 @@ func (e *engine) reset(nodes []Node) {
 		e.quiet[i], e.quietAt[i] = nil, nil
 		if q, ok := nodes[i].(Quiescent); ok {
 			e.quiet[i] = q
+			e.parkable = true
 		}
 		if q, ok := nodes[i].(ScheduleQuiescent); ok {
 			e.quietAt[i] = q
@@ -621,6 +642,10 @@ func (e *engine) StepRound() {
 		}
 		e.observer(e.round, e.delivered)
 	}
+	// Without shared-aggregate delivery every recipient with mail is on
+	// recip, so the next coordinator-only round may visit just awake ∪
+	// recip; after a parallel or aggregate round it scans all n again.
+	e.parked = e.parkable && e.active == 1 && !e.aggActive
 	for _, fn := range e.roundEnd {
 		fn()
 	}
@@ -695,17 +720,31 @@ func (e *engine) phaseStep(lo, hi int) {
 			}
 		}
 		e.stepped = e.stepped[:0]
-		for i := lo; i < hi; i++ {
-			if e.rushing[i] || !e.shouldStep(i) {
+		if !e.parked {
+			e.awake = e.awake[:0]
+			for i := lo; i < hi; i++ {
+				e.stepOne(i)
+			}
+			return
+		}
+		// Parked round: only the awake nodes and last round's recipients
+		// can do anything. Visit their union in ascending order, so
+		// stepped (and the rebuilt awake list) stay sender-ordered.
+		for _, i := range e.awake {
+			e.visit[i>>6] |= 1 << (i & 63)
+		}
+		for _, i := range e.prevRecip {
+			e.visit[i>>6] |= 1 << (i & 63)
+		}
+		e.awake = e.awake[:0]
+		for k, word := range e.visit {
+			if word == 0 {
 				continue
 			}
-			inb := e.inboxOf(i)
-			if len(inb) == 0 && e.idleVouched(i) {
-				continue
+			e.visit[k] = 0
+			for ; word != 0; word &= word - 1 {
+				e.stepOne(k<<6 | bits.TrailingZeros64(word))
 			}
-			e.acted[i] = true
-			e.outs[i] = e.nodes[i].Step(e.round, inb)
-			e.stepped = append(e.stepped, i)
 		}
 		return
 	}
@@ -725,6 +764,29 @@ func (e *engine) phaseStep(lo, hi int) {
 		e.acted[i] = true
 		e.outs[i] = e.nodes[i].Step(e.round, inb)
 	}
+}
+
+// stepOne is the coordinator-only step of node i: elide the call if the
+// node vouches for an idle round, else step it and record it on stepped.
+// In parkable runs it also rebuilds awake: every visited node stays on
+// it except the dead, the rushing and those parked by Quiescent().
+func (e *engine) stepOne(i int) {
+	if e.rushing[i] || !e.shouldStep(i) {
+		return
+	}
+	inb := e.inboxOf(i)
+	if len(inb) == 0 && e.quiet[i] != nil && e.quiet[i].Quiescent() {
+		return
+	}
+	if e.parkable {
+		e.awake = append(e.awake, i)
+	}
+	if len(inb) == 0 && e.quietAt[i] != nil && e.quietAt[i].QuiescentAt(e.round) {
+		return
+	}
+	e.acted[i] = true
+	e.outs[i] = e.nodes[i].Step(e.round, inb)
+	e.stepped = append(e.stepped, i)
 }
 
 // idleVouched reports that node i vouches — through either quiescence

@@ -39,6 +39,13 @@ type Node interface {
 // vouch for that, since the engine cannot prove it. Nodes whose idle
 // rounds have side effects (round counters, timers, randomness) must
 // not implement it, or must return false in those states.
+//
+// The answer must be a function of the node's state alone, and that
+// state may change only inside Step: the engine parks a node whose
+// vouch it has seen and does not poll it again until the node has mail
+// (then it steps it, and polls it the round after). A node whose answer
+// depends on the round, or on anything Step does not write, belongs on
+// ScheduleQuiescent instead.
 type Quiescent interface {
 	Quiescent() bool
 }
@@ -54,8 +61,9 @@ type Quiescent interface {
 // elided. QuiescentAt(round) reports that a Step call at exactly that
 // round with an EMPTY inbox would be a pure no-op, under the same
 // obligations as Quiescent; the engine asks with the round it is about
-// to execute. A node may implement either interface or both (elision
-// happens if either vouches).
+// to execute, every round the node is idle: a round-dependent answer
+// cannot park it. A node may implement either interface or both
+// (elision happens if either vouches; a Quiescent vouch also parks it).
 type ScheduleQuiescent interface {
 	QuiescentAt(round int) bool
 }
