@@ -20,6 +20,7 @@ ci:
 	$(GO) test -run '^$$' -bench ByzStepRound -benchtime 1x .
 	$(GO) test -run '^$$' -bench ByzWholeRun -benchtime 1x .
 	$(GO) test -run '^$$' -bench CrashStepRound -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'CrashMemoryFootprint/n=16384' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench CrashSetup -benchtime 1x .
 	$(GO) test -run '^$$' -bench ChurnEpoch -benchtime 1x .
 	$(GO) run ./cmd/campaign -algo crash -n 64 -execs 50 -seed 1

@@ -255,7 +255,7 @@ func (node *CrashNode) State() (interval.Interval, int, int) { return node.iv, n
 // there is the committee-wipe signal of Figure 3 lines 1–3, which
 // doubles p and draws re-election randomness, and elected nodes
 // broadcast their Notify announcement in that round regardless of the
-// inbox.
+// inbox. TestCrashQuiescentAtVouch audits the vouch against a twin node.
 func (node *CrashNode) QuiescentAt(round int) bool {
 	return node.halted || round%3 != 0
 }
@@ -280,6 +280,11 @@ func (node *CrashNode) Step(round int, inbox []sim.Message) sim.Outbox {
 		}
 		return nil
 	case 1:
+		if len(inbox) == 0 {
+			// No committee announced itself to this node: nothing to
+			// report, and no scratch state to touch (see QuiescentAt).
+			return nil
+		}
 		if cap(node.committeeLinks) < len(inbox) {
 			node.committeeLinks = make([]int, 0, len(inbox))
 		}

@@ -119,7 +119,6 @@ func BenchmarkMidSendCompaction(b *testing.B) {
 		clear(e.filters)
 		for s := 0; s < crashers; s++ {
 			e.outs[s] = Outbox{{From: s, To: ToAll, Payload: pingPayload{size: 1}}}
-			e.acted[s] = true
 			e.filters[s] = halfFilter(rng)
 		}
 		e.evalFilters()

@@ -6,12 +6,14 @@
 //
 // # Round engine
 //
-// Within a round, a persistent pool of workers steps contiguous node
-// shards behind a barrier and routes messages through slab-backed
-// per-node inbox views (a counting sort by sender). Low-traffic rounds
-// adaptively collapse onto the coordinator, where barrier handshakes
-// would cost more than the round's work; heavy rounds fan out across
-// the pool. Either way the observable execution is identical.
+// Within a round, a persistent pool of workers steps contiguous ranges
+// of nodes behind one barrier, each listing the nodes it stepped; the
+// coordinator then routes the round once over those lists, through
+// slab-backed per-node inbox views (a counting sort by sender).
+// Low-traffic rounds adaptively step on the coordinator alone, where
+// the barrier handshake would cost more than the round's work; heavy
+// rounds fan their steps out across the pool. Either way the
+// observable execution is identical.
 //
 // # Contracts the packages above rely on
 //
@@ -36,15 +38,15 @@
 // and its inbox is empty, Step would send nothing and change no state.
 // The engine then skips the Step call. A Quiescent answer depends on the
 // node's state alone and may change only inside Step, so a vouching
-// node is parked: coordinator-only rounds poll it again only once it
-// has mail, visiting just the nodes that stepped or vouched through
-// QuiescentAt the round before plus that round's recipients, in
-// ascending order. Per-round work in those rounds is proportional to
-// acted senders, schedule-quiescent nodes and delivered messages, not
-// to n; parallel rounds, and the first coordinator-only round after a
-// parallel or shared-aggregate round, scan all n. The contract is
-// one-sided: the engine may still step a quiescent node (e.g. when it
-// has mail), so the vouch must be sound, not tight.
+// node is parked: a round that follows one without shared-aggregate
+// delivery polls it again only once it has mail, visiting just the
+// nodes that stepped or vouched through QuiescentAt the round before
+// plus that round's recipients, in ascending order, at any worker
+// count. Per-round work in those rounds is proportional to acted
+// senders, schedule-quiescent nodes and delivered messages, not to n;
+// round 0 and the round after a shared-aggregate round scan all n. The
+// contract is one-sided: the engine may still step a quiescent node
+// (e.g. when it has mail), so the vouch must be sound, not tight.
 //
 // Determinism at any worker count: every adversary decision — including
 // stateful mid-send crash filters — is evaluated sequentially on the
@@ -61,12 +63,11 @@
 //
 // # Memory model
 //
-// Inboxes are views into two alternating per-worker slabs (round parity
-// r&1) with generation stamps deciding view validity, so idle nodes
-// hold no buffers and the engine's footprint tracks messages in flight,
-// not n times the historical maximum. A view delivered in round r is
-// valid during round r only; payload boxes written in round r may be
-// reused no earlier than round r+2. Network.MemStats reports slab
-// footprint; docs/MEMORY.md documents the full lifecycle and the
-// scaling model.
+// Inboxes are views into two alternating slabs (round parity r&1) with
+// generation stamps deciding view validity, so idle nodes hold no
+// buffers and the engine's footprint tracks messages in flight, not n
+// times the historical maximum. A view delivered in round r is valid
+// during round r only; payload boxes written in round r may be reused
+// no earlier than round r+2. docs/MEMORY.md documents the full
+// lifecycle and the scaling model.
 package sim

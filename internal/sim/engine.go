@@ -7,45 +7,49 @@ import (
 	"sort"
 )
 
-// engine is the round engine behind Network: a persistent, sharded worker
-// pool that steps nodes in-place and routes messages through reusable
-// per-node inboxes. It is built for the scaling sweeps (n = 16384/32768):
-// the per-round cost is O(messages) with near-zero allocations, no
-// per-node goroutines, and no sorting.
+// engine is the round engine behind Network: it steps nodes in place —
+// across a persistent worker pool when the round is heavy — and routes
+// their messages through reusable per-node inboxes. It is built for the
+// scaling sweeps (n = 16384 and beyond): the per-round cost is
+// O(stepped nodes + messages) with near-zero allocations, no per-node
+// goroutines, and no sorting.
 //
-// A round runs in four phases, each executed shard-parallel behind a
-// barrier:
+// A round runs in two halves. The step phase is the only one the pool
+// shares out:
 //
-//	step     every shard steps its alive (non-rushing) nodes in-place;
-//	         the coordinator then steps rushing nodes (wave 2) and
-//	         evaluates mid-send crash filters sequentially, so stateful
-//	         filters consume shared randomness in the exact order the
-//	         sequential engine did;
-//	count    every shard walks its nodes' outboxes, bumping a per-worker
-//	         × per-recipient counter and accumulating metrics into a
-//	         per-shard accumulator (lock-free: shards touch disjoint
-//	         cells);
-//	deliver  every shard turns the counters for *its recipients* into
-//	         exclusive prefix offsets and carves this round's inbox views
-//	         out of the shard's slab — a counting sort by sender,
-//	         exploiting that worker w's senders all precede worker w+1's;
-//	scatter  every shard writes its surviving messages into the
-//	         recipients' inboxes at the precomputed offsets.
+//	step     the round's candidates (every node, or in a parked round the
+//	         awake list plus last round's recipients) are split into one
+//	         contiguous range per active worker; each worker steps its
+//	         alive non-rushing nodes in place and lists the ones that
+//	         stepped, ascending. The coordinator concatenates the lists
+//	         in worker order, so the round's stepped list is ascending.
 //
-// Because offsets are assigned in (worker, sender, emission) order, every
-// inbox comes out sorted by sender link with per-sender emission order
-// preserved — byte-identical to the previous engine's append-then-stable-
-// sort delivery, at every worker count.
+// Everything after it runs once, on the coordinator, over that list:
 //
-// Inbox storage is slab-allocated (see inboxSlab): per round and worker,
-// one arena holds every incoming message of the shard's recipients, and
-// the per-recipient tables hold views into it. Two slabs per worker
-// alternate by round parity — round r's views are read during round r+1
-// while round r+1 fills the other slab — and reuse is generation-stamped:
-// a recipient's view is only meaningful when its stamp matches the
-// current fill, so idle recipients are never touched during delivery and
-// their (stale) views are simply never read. docs/MEMORY.md documents
-// the resulting memory model.
+//	rush     rushing nodes step with previews (wave 2), and mid-send
+//	         crash filters are evaluated sequentially, so stateful
+//	         filters consume shared randomness in ascending sender order;
+//	count    each stepped sender's outbox bumps one per-recipient counter
+//	         and the round's metric accumulator; recipients are listed
+//	         the first time their counter leaves zero;
+//	deliver  each listed recipient's count becomes a view carved out of
+//	         the parity slab;
+//	scatter  each stepped sender's messages are written, in ascending
+//	         sender order, at the next free slot of their recipients'
+//	         views.
+//
+// Because slots are assigned in (sender, emission) order, every inbox
+// comes out sorted by sender link with per-sender emission order
+// preserved, at every worker count.
+//
+// Inbox storage is slab-allocated (see inboxSlab): per round, one arena
+// holds every incoming message, and the per-recipient tables hold views
+// into it. Two slabs alternate by round parity — round r's views are
+// read during round r+1 while round r+1 fills the other slab — and reuse
+// is generation-stamped: a recipient's view is only meaningful when its
+// stamp matches the current fill, so idle recipients are never touched
+// during delivery and their (stale) views are simply never read.
+// docs/MEMORY.md documents the resulting memory model.
 type engine struct {
 	nodes   []Node
 	quiet   []Quiescent         // nodes[i] as Quiescent, nil if not implemented
@@ -63,49 +67,44 @@ type engine struct {
 	round     int
 	observer  func(round int, delivered []Message)
 	digest    func(RoundDigest)
-	// digestKinds is the reused per-round kind map passed (by reference)
-	// inside RoundDigest; consumers must not retain it across calls.
-	digestKinds map[string]int64
 
-	// Worker pool. workers is the resolved shard count P; worker 0 is the
-	// coordinator (the StepRound caller), workers 1..P-1 are long-lived
-	// goroutines parked on their cmd channel between phases. spawned
-	// counts the goroutines actually started; a pooled engine reused at a
-	// larger n spawns only the delta.
+	// Worker pool, for the step phase only. workers is the resolved
+	// shard count P; worker 0 is the coordinator (the StepRound caller),
+	// workers 1..P-1 are long-lived goroutines parked on their cmd
+	// channel between rounds. spawned counts the goroutines actually
+	// started; a pooled engine reused with more workers spawns only the
+	// delta. shards holds each worker's step output.
 	reqWorkers int // WithEngineWorkers override; 0 = GOMAXPROCS
 	workers    int
-	shardLo    []int
-	shardHi    []int
 	spawned    int
 	closed     bool
-	cmd        []chan int
+	cmd        []chan struct{}
 	ack        chan struct{}
 	panics     []any
+	shards     []stepShard
 
-	// Adaptive collapse: rounds with little traffic run on the
-	// coordinator alone (active = 1), skipping the four barrier
-	// handshakes whose wakeup latency dwarfs the actual work at small
-	// scales — the committee loop of the Byzantine algorithm moves a few
-	// hundred messages per round, ~microseconds of routing. Heavy rounds
-	// (all-to-all baselines, announce/distribute fan-outs, the 16384+
-	// sweeps) still fan out across the pool. Results are bit-identical at
-	// every worker count, so flipping per round is unobservable; an
-	// explicit WithEngineWorkers pin disables the collapse so tests can
-	// exercise a chosen path. lastMsgs (messages counted in the previous
-	// round) is the traffic predictor.
+	// Adaptive collapse: rounds with little traffic step on the
+	// coordinator alone (active = 1), skipping the barrier handshake
+	// whose wakeup latency dwarfs the actual work at small scales — the
+	// committee loop of the Byzantine algorithm moves a few hundred
+	// messages per round. Heavy rounds (all-to-all baselines,
+	// announce/distribute fan-outs, the 16384+ sweeps) still fan their
+	// steps across the pool. Results are bit-identical at every worker
+	// count, so flipping per round is unobservable; an explicit
+	// WithEngineWorkers pin disables the collapse so tests can exercise
+	// a chosen path. lastMsgs (messages counted in the previous round) is
+	// the traffic predictor.
 	adaptive bool
 	active   int
 	lastMsgs int64
 
 	// stepped lists the senders that acted this round, ascending, and
-	// prevStepped the round before — coordinator-only rounds use them to
-	// reset and walk only those entries instead of scanning all n nodes
-	// in every phase. Ascending order matters: scatter assigns inbox
-	// slots in sender order.
+	// prevStepped the round before, whose outboxes the next step phase
+	// drops. Routing walks stepped instead of scanning all n nodes, and
+	// its ascending order is what assigns inbox slots in sender order.
 	stepped     []int
 	prevStepped []int
 	mergeBuf    []int
-	prevFull    bool // last round ran parallel: acted/outs need a full reset
 
 	// Parking, for runs with at least one Quiescent node (parkable). A
 	// node polled with an empty inbox whose Quiescent() vouches is
@@ -113,14 +112,15 @@ type engine struct {
 	// changes, so it is not polled again until it has mail. awake lists,
 	// ascending, the alive non-rushing nodes the next round must still
 	// poll: those that stepped and those elided only through
-	// QuiescentAt. parked reports that the last round was coordinator-
-	// only without shared-aggregate delivery, so awake ∪ prevRecip holds
-	// every node the next coordinator-only round has to visit; visit is
-	// the n-bit scratch set that walks that union in ascending order.
-	parkable bool
-	parked   bool
-	awake    []int
-	visit    []uint64
+	// QuiescentAt. parked reports that the last round had no
+	// shared-aggregate delivery, so awake ∪ prevRecip holds every node
+	// the next round has to visit; visit is the n-bit scratch set that
+	// sorts that union into visitList.
+	parkable  bool
+	parked    bool
+	awake     []int
+	visit     []uint64
+	visitList []int
 
 	// Per-round state, all reused across rounds. The inbox tables hold
 	// views into the parity-alternating slabs; a view is only meaningful
@@ -131,19 +131,22 @@ type engine struct {
 	nextInb [][]Message // being filled for next round (slab views)
 	inbGen  []uint32    // per recipient: fill stamp of inboxes[i]
 	nextGen []uint32    // per recipient: fill stamp of nextInb[i]
-	slabs   [2][]inboxSlab
+	slabs   [2]inboxSlab
 	outs    []Outbox  // per sender: this round's outbox (nil if idle)
-	acted   []bool    // per sender: stepped this round
-	counts  [][]int32 // per worker × recipient: count, then offset
-	shards  []metricShard
+	counts  []int32   // per recipient: count, then scatter cursor
+	acc     metricAcc // this round's metric accumulator
+	// expanded is the arena mixed outboxes (shared entries alongside
+	// others) are expanded into during the count phase; it is reclaimed
+	// at the next count phase, after the round's outbox references are
+	// gone.
+	expanded []Message
 
 	// recip lists the recipients with incoming traffic this round,
 	// discovery-ordered, and prevRecip the round before — the delivery
-	// analogue of stepped/prevStepped: coordinator-only rounds reset and
-	// walk only those counter cells instead of scanning all n recipients.
-	recip      []int
-	prevRecip  []int
-	countsFull bool // last round ran parallel: counts[0] needs a full reset
+	// analogue of stepped/prevStepped: the count phase resets only those
+	// counter cells instead of scanning all n recipients.
+	recip     []int
+	prevRecip []int
 
 	aliveView   []bool
 	filters     map[int]SendFilter
@@ -156,7 +159,7 @@ type engine struct {
 	// outboxes into: each crasher's surviving wire messages, shared
 	// entries (ToAll, ToSet) written out per recipient. It is sized once
 	// per round to the filtered senders' total wire count and reclaimed
-	// at the next evalFilters call, after phaseStep has dropped all
+	// at the next evalFilters call, after the step phase has dropped all
 	// outbox references.
 	survivors []Message
 	roundEnd  []func() // coordinator hooks run at the end of every round
@@ -164,73 +167,57 @@ type engine struct {
 	// Shared-aggregate delivery (ToAll broadcasts and ToSet multicasts).
 	// A sender whose round outbox is exactly one shared entry (after
 	// mid-send compaction: a filter that kept everything leaves it shared)
-	// is recorded in its worker's sharedRecs instead of the per-recipient
-	// counters; planShared (coordinator, between count and deliver) carves
-	// one aggregate segment per distinct shared target out of the parity
-	// aggregate slab and precomputes per-worker scatter cursors, so the
-	// segment comes out in global sender order. Recipients whose only
-	// traffic is a single segment are *bound* to it zero-copy (boundGen
-	// marks them — their view still carries the sender's To sentinel);
-	// recipients with several sources are merged into per-worker merge
-	// slabs by the phMerge phase. See docs/MEMORY.md.
+	// is recorded in sharedRecs instead of the per-recipient counters;
+	// planShared (between count and deliver) carves one aggregate segment
+	// per distinct shared target out of the parity aggregate slab, which
+	// scatter fills in sender order. Recipients whose only traffic is a
+	// single segment are *bound* to it zero-copy (boundGen marks them —
+	// their view still carries the sender's To sentinel); recipients with
+	// several sources are listed on mergeList and merged into the parity
+	// merge slab by phaseMerge. See docs/MEMORY.md.
 	sets           *Sets
 	eagerMulticast bool
-	sharedRecs     [][]sharedRec // per worker: pure-shared senders, ascending
-	sharedCur      [][]int32     // per worker × active set: scatter cursor
-	actSets        []actSet      // this round's distinct shared targets
-	aggSlabs       [2]inboxSlab  // aggregate segments, by round parity
-	aggBuf         []Message     // this round's aggregate slab fill
+	sharedRecs     []sharedRec  // pure-shared senders, ascending
+	actSets        []actSet     // this round's distinct shared targets
+	aggSlabs       [2]inboxSlab // aggregate segments, by round parity
 	aggActive      bool
-	srcSet         []int32   // per recipient: actSets index of its named source
-	srcGen         []uint32  // stamp for srcSet
-	boundGen       []uint32  // per recipient: stamp when nextInb[i] is a raw segment
-	clsGen         []uint32  // per recipient: classification-done stamp
-	mergeList      [][]int32 // per worker: recipients needing a k-way merge
-	mergeSlabs     [2][]inboxSlab
-	wexpand        []expandPool // per worker: mixed-outbox expansion buffers
+	srcSet         []int32  // per recipient: actSets index of its named source
+	srcGen         []uint32 // stamp for srcSet
+	boundGen       []uint32 // per recipient: stamp when nextInb[i] is a raw segment
+	clsGen         []uint32 // per recipient: classification-done stamp
+	mergeList      []int32  // recipients needing a k-way merge
+	mergeSlabs     [2]inboxSlab
 }
 
-// sharedRec records one pure-shared sender for the scatter cursors:
-// target is the set id, or -1 for ToAll.
+// stepShard is one worker's step-phase output: the nodes it stepped and,
+// in parkable runs, the nodes it keeps awake, both ascending.
+type stepShard struct {
+	stepped []int
+	awake   []int
+}
+
+// sharedRec records one pure-shared sender: target is the set id, or -1
+// for ToAll.
 type sharedRec struct {
 	from   int32
 	target int32
 }
 
 // actSet is one distinct shared target active this round: its aggregate
-// segment (a sender-ordered view into the aggregate slab) and layout.
+// segment (a sender-ordered view into the aggregate slab), its size, and
+// the scatter cursor into it.
 type actSet struct {
 	id    int // set id, -1 for ToAll
-	start int
 	total int
+	cur   int
 	seg   []Message
 }
 
-// expandPool is one worker's buffer pool for expanding mixed outboxes
-// (shared entries alongside others) into explicit messages during the
-// count phase; buffers are reclaimed at the worker's next count phase,
-// after the round's outbox references are gone.
-type expandPool struct {
-	bufs [][]Message
-	used int
-}
-
-// Phase identifiers dispatched to the worker pool.
-const (
-	phStep = iota
-	phCount
-	phDeliver
-	phScatter
-	phMerge
-)
-
-// inboxSlab is one worker's per-parity message arena: each round the
-// deliver phase carves every recipient view of the worker's shard out of
-// a single contiguous buffer, instead of growing (and retaining) one
-// slice per recipient. fills counts refills, for MemStats.
+// inboxSlab is a per-parity message arena: each round the deliver phase
+// carves every recipient view out of a single contiguous buffer, instead
+// of growing (and retaining) one slice per recipient.
 type inboxSlab struct {
-	buf   []Message
-	fills uint32
+	buf []Message
 }
 
 // fill returns a buffer of exactly total messages, growing the arena
@@ -242,7 +229,6 @@ func (s *inboxSlab) fill(total int) []Message {
 	if cap(s.buf) < total {
 		s.buf = make([]Message, total+total/4)
 	}
-	s.fills++
 	return s.buf[:total]
 }
 
@@ -282,7 +268,7 @@ func (e *engine) reset(nodes []Node) {
 	e.inbGen = growSpan(e.inbGen, n)
 	e.nextGen = growSpan(e.nextGen, n)
 	e.outs = growSpan(e.outs, n)
-	e.acted = growSpan(e.acted, n)
+	e.counts = growSpan(e.counts, n)
 	e.aliveView = growSpan(e.aliveView, n)
 	e.srcSet = growSpan(e.srcSet, n)
 	e.srcGen = growSpan(e.srcGen, n)
@@ -306,7 +292,8 @@ func (e *engine) reset(nodes []Node) {
 		// (round stamps start at 1), so cross-run staleness is impossible.
 		e.srcGen[i], e.boundGen[i], e.clsGen[i] = 0, 0, 0
 		e.outs[i] = nil
-		e.acted[i] = false
+		// A previous run leaves its last round's counters dirty.
+		e.counts[i] = 0
 		e.quiet[i], e.quietAt[i] = nil, nil
 		if q, ok := nodes[i].(Quiescent); ok {
 			e.quiet[i] = q
@@ -324,6 +311,9 @@ func (e *engine) reset(nodes []Node) {
 		e.metrics.reset()
 	}
 	e.metrics.sizeFor(n)
+	if e.acc.perKind == nil {
+		e.acc.init()
+	}
 	e.rushList = e.rushList[:0]
 	e.round = 0
 	e.observer = nil
@@ -331,8 +321,6 @@ func (e *engine) reset(nodes []Node) {
 	e.roundEnd = e.roundEnd[:0]
 	e.reqWorkers = 0
 	e.stepped, e.prevStepped = e.stepped[:0], e.prevStepped[:0]
-	e.mergeBuf = e.mergeBuf[:0]
-	e.prevFull, e.countsFull = true, true
 	e.recip, e.prevRecip = e.recip[:0], e.prevRecip[:0]
 	if e.filters == nil {
 		e.filters = make(map[int]SendFilter)
@@ -346,12 +334,6 @@ func (e *engine) reset(nodes []Node) {
 	e.eagerMulticast = false
 	e.aggActive = false
 	e.actSets = e.actSets[:0]
-	for w := range e.sharedRecs {
-		e.sharedRecs[w] = e.sharedRecs[w][:0]
-	}
-	for w := range e.mergeList {
-		e.mergeList[w] = e.mergeList[w][:0]
-	}
 	// lastMsgs seeds the adaptive collapse predictor; a fresh engine
 	// starts at 0, so a reused one must too or the first round's
 	// active-worker choice (and nothing else — results are identical
@@ -359,9 +341,9 @@ func (e *engine) reset(nodes []Node) {
 	e.lastMsgs = 0
 }
 
-// finishSetup resolves the worker count and shard layout after options
-// have been applied. Workers are spawned lazily on the first StepRound;
-// a reused engine keeps already-spawned goroutines parked on their cmd
+// finishSetup resolves the worker count after options have been
+// applied. Workers are spawned lazily on the first parallel round; a
+// reused engine keeps already-spawned goroutines parked on their cmd
 // channels and only ever spawns the delta.
 func (e *engine) finishSetup() {
 	n := len(e.nodes)
@@ -376,51 +358,8 @@ func (e *engine) finishSetup() {
 		p = 1
 	}
 	e.workers = p
-	e.shardLo = growSpan(e.shardLo, p)
-	e.shardHi = growSpan(e.shardHi, p)
-	base, rem := n/p, n%p
-	lo := 0
-	for w := 0; w < p; w++ {
-		size := base
-		if w < rem {
-			size++
-		}
-		e.shardLo[w], e.shardHi[w] = lo, lo+size
-		lo += size
-	}
-	// Per-worker structures only grow, preserving existing buffers; the
-	// counter contents are garbage after reuse, which is safe because
-	// countsFull forces a full reset on the first coordinator-only round
-	// and parallel phaseCount zeroes its shard every round.
-	for len(e.counts) < p {
-		e.counts = append(e.counts, nil)
-	}
-	for w := 0; w < p; w++ {
-		e.counts[w] = growSpan(e.counts[w], n)
-	}
-	for par := range e.slabs {
-		for len(e.slabs[par]) < p {
-			e.slabs[par] = append(e.slabs[par], inboxSlab{})
-		}
-		for len(e.mergeSlabs[par]) < p {
-			e.mergeSlabs[par] = append(e.mergeSlabs[par], inboxSlab{})
-		}
-	}
 	for len(e.shards) < p {
-		e.shards = append(e.shards, metricShard{})
-		e.shards[len(e.shards)-1].init()
-	}
-	for len(e.sharedRecs) < p {
-		e.sharedRecs = append(e.sharedRecs, nil)
-	}
-	for len(e.sharedCur) < p {
-		e.sharedCur = append(e.sharedCur, nil)
-	}
-	for len(e.mergeList) < p {
-		e.mergeList = append(e.mergeList, nil)
-	}
-	for len(e.wexpand) < p {
-		e.wexpand = append(e.wexpand, expandPool{})
+		e.shards = append(e.shards, stepShard{})
 	}
 	// Attach the interned-set registry on every node that shares
 	// multicasts through it; under WithEagerMulticast it declines every
@@ -448,8 +387,8 @@ func (e *engine) finishSetup() {
 
 // adaptiveSpill is the work estimate (node passes + routed messages,
 // weighted toward messages) above which a round is worth fanning across
-// the pool; below it the four barrier handshakes cost more than the
-// round itself. Calibrated on the Byzantine committee loop at n = 1024
+// the pool; below it the barrier handshake costs more than the round
+// itself. Calibrated on the Byzantine committee loop at n = 1024
 // (~175 msgs/round: sequential wins 2×) against the all-to-all baselines
 // (n² msgs/round: the pool wins).
 const adaptiveSpill = 8192
@@ -468,69 +407,62 @@ func (e *engine) ensureWorkers() {
 		e.ack = make(chan struct{}, e.workers)
 	}
 	for w := e.spawned + 1; w < e.workers; w++ {
-		e.cmd[w] = make(chan int)
+		e.cmd[w] = make(chan struct{})
 		go e.workerLoop(w)
 	}
 	e.spawned = e.workers - 1
 }
 
 func (e *engine) workerLoop(w int) {
-	for ph := range e.cmd[w] {
-		e.runShard(w, ph)
+	for range e.cmd[w] {
+		e.runShard(w)
 	}
 }
 
-func (e *engine) runShard(w, ph int) {
+// runShard steps worker w's shard, recording a panic (e.g. from a node's
+// Step) for runStep to re-raise, and acknowledges the barrier.
+func (e *engine) runShard(w int) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.panics[w] = r
 		}
 		e.ack <- struct{}{}
 	}()
-	e.phase(w, ph)
+	e.stepShard(w)
 }
 
-// runPhase fans one phase across the pool; the coordinator works shard 0
-// itself. Worker panics (e.g. a node sending to an invalid link) are
-// re-raised here so they surface on the StepRound caller as before.
-func (e *engine) runPhase(ph int) {
+// runStep fans the step phase across the active workers; the coordinator
+// works shard 0 itself. Once every shard has finished, the panic of the
+// lowest panicking shard is re-raised on the StepRound caller.
+func (e *engine) runStep() {
 	if e.active == 1 {
-		// Coordinator-only round: worker 0 spans every node in one shard.
-		e.phaseSpan(0, ph, 0, len(e.nodes))
+		e.stepShard(0)
 		return
 	}
-	for w := 1; w < e.workers; w++ {
-		e.cmd[w] <- ph
+	e.ensureWorkers()
+	for w := 1; w < e.active; w++ {
+		e.cmd[w] <- struct{}{}
 	}
-	e.phase(0, ph)
-	for w := 1; w < e.workers; w++ {
+	e.runShard(0)
+	for w := 0; w < e.active; w++ {
 		<-e.ack
 	}
-	for w := 1; w < e.workers; w++ {
-		if p := e.panics[w]; p != nil {
-			e.panics[w] = nil
-			panic(p)
+	var p any
+	for w := 0; w < e.active; w++ {
+		if p == nil {
+			p = e.panics[w]
 		}
+		e.panics[w] = nil
+	}
+	if p != nil {
+		panic(p)
 	}
 }
 
-func (e *engine) phase(w, ph int) {
-	e.phaseSpan(w, ph, e.shardLo[w], e.shardHi[w])
-}
-
-func (e *engine) phaseSpan(w, ph, lo, hi int) {
-	switch ph {
-	case phStep:
-		e.phaseStep(lo, hi)
-	case phCount:
-		e.phaseCount(w, lo, hi)
-	case phDeliver:
-		e.phaseDeliver(w, lo, hi)
-	case phScatter:
-		e.phaseScatter(w, lo, hi)
-	case phMerge:
-		e.phaseMerge(w)
-	}
+// span returns worker w's contiguous share [lo, hi) of total step
+// candidates when the round runs on e.active workers.
+func (e *engine) span(w, total int) (int, int) {
+	return total * w / e.active, total * (w + 1) / e.active
 }
 
 // close releases the worker pool. Idempotent; installed as a finalizer on
@@ -594,31 +526,23 @@ func (e *engine) StepRound() {
 			e.active = 1
 		}
 	}
-	if e.active > 1 {
-		e.ensureWorkers()
-	}
-	e.runPhase(phStep)
+	e.phaseStep()
 	if len(e.rushList) > 0 {
 		e.stepRushers()
 	}
 	if len(e.filters) > 0 {
 		e.evalFilters()
 	}
-	e.runPhase(phCount)
+	e.phaseCount()
 	e.planShared()
-	e.runPhase(phDeliver)
-	e.runPhase(phScatter)
-	if e.aggActive {
-		for w := 0; w < e.active; w++ {
-			if len(e.mergeList[w]) > 0 {
-				e.runPhase(phMerge)
-				break
-			}
-		}
+	e.phaseDeliver()
+	e.phaseScatter()
+	if e.aggActive && len(e.mergeList) > 0 {
+		e.phaseMerge()
 	}
 	e.foldMetrics()
 	if e.digest != nil {
-		e.emitDigest()
+		e.digest(RoundDigest{Round: e.round, Messages: e.acc.messages, Bits: e.acc.bits, PerKind: e.acc.perKind})
 	}
 
 	if e.observer != nil {
@@ -643,24 +567,14 @@ func (e *engine) StepRound() {
 		e.observer(e.round, e.delivered)
 	}
 	// Without shared-aggregate delivery every recipient with mail is on
-	// recip, so the next coordinator-only round may visit just awake ∪
-	// recip; after a parallel or aggregate round it scans all n again.
-	e.parked = e.parkable && e.active == 1 && !e.aggActive
+	// recip, so the next round may visit just awake ∪ recip; after an
+	// aggregate round it scans all n again.
+	e.parked = e.parkable && !e.aggActive
 	for _, fn := range e.roundEnd {
 		fn()
 	}
-	if e.active == 1 {
-		// This round's acted senders (and traffic recipients) are the
-		// entries the next coordinator-only round must reset.
-		e.stepped, e.prevStepped = e.prevStepped[:0], e.stepped
-		e.recip, e.prevRecip = e.prevRecip[:0], e.recip
-	} else {
-		// A parallel round steps nodes (and dirties counters) without
-		// recording them; force the next coordinator-only round to do one
-		// full reset scan.
-		e.prevFull = true
-		e.countsFull = true
-	}
+	e.stepped, e.prevStepped = e.prevStepped[:0], e.stepped
+	e.recip, e.prevRecip = e.prevRecip[:0], e.recip
 	e.inboxes, e.nextInb = e.nextInb, e.inboxes
 	e.inbGen, e.nextGen = e.nextGen, e.inbGen
 	e.round++
@@ -678,99 +592,67 @@ func (e *engine) inboxOf(i int) []Message {
 	return e.inboxes[i]
 }
 
-// emitDigest rolls the just-folded (still fresh) shard accumulators into
-// a RoundDigest for the WithRoundDigest callback. digestKinds is reused
-// every round, so the callback must not retain the map.
-func (e *engine) emitDigest() {
-	if e.digestKinds == nil {
-		e.digestKinds = make(map[string]int64)
+// phaseStep — wave 1: every non-rushing stepping node steps against its
+// inbox, the candidates split across the active workers. Nodes only
+// touch their own state, so shards are independent; the engine does not
+// retain the returned outbox past the round, so nodes may reuse their
+// outbox buffers.
+func (e *engine) phaseStep() {
+	for _, i := range e.prevStepped {
+		e.outs[i] = nil
 	}
-	clear(e.digestKinds)
-	d := RoundDigest{Round: e.round, PerKind: e.digestKinds}
-	for w := 0; w < e.active; w++ {
-		sh := &e.shards[w]
-		d.Messages += sh.messages
-		d.Bits += sh.bits
-		for k, v := range sh.perKind {
-			e.digestKinds[k] += v
-		}
-	}
-	e.digest(d)
-}
-
-// phaseStep — wave 1: every non-rushing stepping node in the shard steps
-// against its inbox. Nodes only touch their own state, so shards are
-// independent; the engine does not retain the returned outbox past the
-// round, so nodes may reuse their outbox buffers.
-func (e *engine) phaseStep(lo, hi int) {
-	if e.active == 1 {
-		// Coordinator-only round: clear only last round's acted entries,
-		// then record this round's acted senders so the count and scatter
-		// phases can walk just those instead of scanning all n slots.
-		if e.prevFull {
-			for i := lo; i < hi; i++ {
-				e.outs[i] = nil
-				e.acted[i] = false
-			}
-			e.prevFull = false
-		} else {
-			for _, i := range e.prevStepped {
-				e.outs[i] = nil
-				e.acted[i] = false
-			}
-		}
-		e.stepped = e.stepped[:0]
-		if !e.parked {
-			e.awake = e.awake[:0]
-			for i := lo; i < hi; i++ {
-				e.stepOne(i)
-			}
-			return
-		}
+	if e.parked {
 		// Parked round: only the awake nodes and last round's recipients
-		// can do anything. Visit their union in ascending order, so
-		// stepped (and the rebuilt awake list) stay sender-ordered.
+		// can do anything. Sort their union into visitList, so the
+		// stepped (and the rebuilt awake) lists stay ascending.
 		for _, i := range e.awake {
 			e.visit[i>>6] |= 1 << (i & 63)
 		}
 		for _, i := range e.prevRecip {
 			e.visit[i>>6] |= 1 << (i & 63)
 		}
-		e.awake = e.awake[:0]
+		e.visitList = e.visitList[:0]
 		for k, word := range e.visit {
 			if word == 0 {
 				continue
 			}
 			e.visit[k] = 0
 			for ; word != 0; word &= word - 1 {
-				e.stepOne(k<<6 | bits.TrailingZeros64(word))
+				e.visitList = append(e.visitList, k<<6|bits.TrailingZeros64(word))
 			}
 		}
-		return
 	}
-	for i := lo; i < hi; i++ {
-		e.outs[i] = nil
-		e.acted[i] = false
-		if e.rushing[i] || !e.shouldStep(i) {
-			continue
-		}
-		inb := e.inboxOf(i)
-		if len(inb) == 0 && e.idleVouched(i) {
-			// The node vouches that this call would be a pure no-op (see
-			// Quiescent); eliding it is observationally identical. acted
-			// stays false, which downstream phases treat as "empty outbox".
-			continue
-		}
-		e.acted[i] = true
-		e.outs[i] = e.nodes[i].Step(e.round, inb)
+	e.runStep()
+	e.stepped, e.awake = e.stepped[:0], e.awake[:0]
+	for w := 0; w < e.active; w++ {
+		e.stepped = append(e.stepped, e.shards[w].stepped...)
+		e.awake = append(e.awake, e.shards[w].awake...)
 	}
 }
 
-// stepOne is the coordinator-only step of node i: elide the call if the
-// node vouches for an idle round, else step it and record it on stepped.
-// In parkable runs it also rebuilds awake: every visited node stays on
-// it except the dead, the rushing and those parked by Quiescent().
-func (e *engine) stepOne(i int) {
+// stepShard steps worker w's share of the round's candidates — its
+// slice of visitList in a parked round, its node range otherwise.
+func (e *engine) stepShard(w int) {
+	sh := &e.shards[w]
+	sh.stepped, sh.awake = sh.stepped[:0], sh.awake[:0]
+	if e.parked {
+		lo, hi := e.span(w, len(e.visitList))
+		for _, i := range e.visitList[lo:hi] {
+			e.stepOne(sh, i)
+		}
+		return
+	}
+	lo, hi := e.span(w, len(e.nodes))
+	for i := lo; i < hi; i++ {
+		e.stepOne(sh, i)
+	}
+}
+
+// stepOne steps node i onto shard sh: elide the call if the node vouches
+// for an idle round, else step it and record it on sh.stepped. In
+// parkable runs it also rebuilds awake: every visited node stays on it
+// except the dead, the rushing and those parked by Quiescent().
+func (e *engine) stepOne(sh *stepShard, i int) {
 	if e.rushing[i] || !e.shouldStep(i) {
 		return
 	}
@@ -779,28 +661,13 @@ func (e *engine) stepOne(i int) {
 		return
 	}
 	if e.parkable {
-		e.awake = append(e.awake, i)
+		sh.awake = append(sh.awake, i)
 	}
 	if len(inb) == 0 && e.quietAt[i] != nil && e.quietAt[i].QuiescentAt(e.round) {
 		return
 	}
-	e.acted[i] = true
 	e.outs[i] = e.nodes[i].Step(e.round, inb)
-	e.stepped = append(e.stepped, i)
-}
-
-// idleVouched reports that node i vouches — through either quiescence
-// contract — that a Step call with an empty inbox this round would be a
-// pure no-op. The decision is a function of the node's own state and
-// the round number only, so it is identical at every worker count.
-func (e *engine) idleVouched(i int) bool {
-	if q := e.quiet[i]; q != nil && q.Quiescent() {
-		return true
-	}
-	if q := e.quietAt[i]; q != nil && q.QuiescentAt(e.round) {
-		return true
-	}
-	return false
+	sh.stepped = append(sh.stepped, i)
 }
 
 // stepRushers — wave 2, on the coordinator: rushing nodes step with a
@@ -814,10 +681,7 @@ func (e *engine) stepRushers() {
 	for k, v := range e.previews {
 		e.previews[k] = v[:0]
 	}
-	for i := 0; i < n; i++ {
-		if !e.acted[i] {
-			continue
-		}
+	for _, i := range e.stepped {
 		filter := e.filters[i]
 		for _, msg := range e.outs[i] {
 			if msg.To == ToAll {
@@ -857,6 +721,12 @@ func (e *engine) stepRushers() {
 			e.previews[msg.To] = append(e.previews[msg.To], msg)
 		}
 	}
+	// Step the rushers, merging each into the stepped list so it stays
+	// ascending. The step phase skips rushing nodes, so there are no
+	// duplicates.
+	e.mergeBuf = e.mergeBuf[:0]
+	s := e.stepped
+	j := 0
 	for _, r := range e.rushList {
 		if !e.shouldStep(r) {
 			continue
@@ -868,29 +738,15 @@ func (e *engine) stepRushers() {
 			e.rushInbox = append(append(e.rushInbox[:0], inbox...), preview...)
 			inbox = e.rushInbox
 		}
-		e.acted[r] = true
 		e.outs[r] = e.nodes[r].Step(e.round, inbox)
-	}
-	if e.active == 1 {
-		// Merge the acted rushers into the stepped list, preserving the
-		// ascending sender order the scatter phase relies on. Rushing
-		// nodes are skipped by phaseStep, so there are no duplicates.
-		e.mergeBuf = e.mergeBuf[:0]
-		s := e.stepped
-		j := 0
-		for _, r := range e.rushList {
-			if !e.acted[r] {
-				continue
-			}
-			for j < len(s) && s[j] < r {
-				e.mergeBuf = append(e.mergeBuf, s[j])
-				j++
-			}
-			e.mergeBuf = append(e.mergeBuf, r)
+		for j < len(s) && s[j] < r {
+			e.mergeBuf = append(e.mergeBuf, s[j])
+			j++
 		}
-		e.mergeBuf = append(e.mergeBuf, s[j:]...)
-		e.stepped, e.mergeBuf = e.mergeBuf, e.stepped
+		e.mergeBuf = append(e.mergeBuf, r)
 	}
+	e.mergeBuf = append(e.mergeBuf, s[j:]...)
+	e.stepped, e.mergeBuf = e.mergeBuf, e.stepped
 }
 
 // evalFilters compacts every mid-send crasher's outbox to the wire
@@ -898,15 +754,16 @@ func (e *engine) stepRushers() {
 // (adversary.randomHalfFilter), so they are called once, sequentially,
 // in ascending (sender, wire message) order — shared entries walked
 // member-ascending, exactly the order the explicit representation emits
-// them in — and the parallel phases only ever see the survivors. A
-// sender whose filter kept every wire message keeps its outbox as it
-// was, shared entries included, so it stays on the aggregate path; only
-// senders whose filter actually diverged pay for per-recipient copies.
+// them in — and routing only ever sees the survivors. A sender whose
+// filter kept every wire message keeps its outbox as it was, shared
+// entries included, so it stays on the aggregate path; only senders
+// whose filter actually diverged pay for per-recipient copies. Only
+// senders that stepped this round hold an outbox.
 func (e *engine) evalFilters() {
 	e.filterOrder = e.filterOrder[:0]
 	wire := 0
 	for s := range e.filters {
-		if e.acted[s] {
+		if len(e.outs[s]) > 0 {
 			e.filterOrder = append(e.filterOrder, s)
 			wire += e.wireLen(s)
 		}
@@ -1018,65 +875,36 @@ func (e *engine) appendExpanded(buf []Message, out Outbox) []Message {
 	return buf
 }
 
-// phaseCount walks the shard's outboxes, counting surviving messages per
-// recipient and accumulating communication metrics into the shard's
-// accumulator. PerNodeSent cells belong to this shard's senders, so the
-// writes are race-free without locks.
-func (e *engine) phaseCount(w, lo, hi int) {
-	counts := e.counts[w]
-	sh := &e.shards[w]
-	e.sharedRecs[w] = e.sharedRecs[w][:0]
-	e.wexpand[w].used = 0
-	if e.active == 1 {
-		// Coordinator-only round: reset only the counter cells the
-		// previous round dirtied (its traffic recipients — scatter left
-		// its write cursors there), then walk just the senders that
-		// acted, recording this round's recipients as it counts.
-		if e.countsFull {
-			for i := range counts {
-				counts[i] = 0
-			}
-			e.countsFull = false
-		} else {
-			for _, to := range e.prevRecip {
-				counts[to] = 0
-			}
-		}
-		e.recip = e.recip[:0]
-		sh.reset()
-		for _, i := range e.stepped {
-			e.countSender(w, sh, counts, i, true)
-		}
-		return
+// phaseCount resets the counter cells the previous round dirtied (its
+// recipients — scatter left its write cursors there), then walks the
+// senders that stepped, counting surviving messages per recipient and
+// accumulating communication metrics.
+func (e *engine) phaseCount() {
+	for _, to := range e.prevRecip {
+		e.counts[to] = 0
 	}
-	for i := range counts {
-		counts[i] = 0
-	}
-	sh.reset()
-	for i := lo; i < hi; i++ {
-		if !e.acted[i] {
-			continue
-		}
-		e.countSender(w, sh, counts, i, false)
+	e.recip = e.recip[:0]
+	e.sharedRecs = e.sharedRecs[:0]
+	e.expanded = e.expanded[:0]
+	e.acc.reset()
+	for _, i := range e.stepped {
+		e.countSender(i)
 	}
 }
 
-// countSender counts one acted sender's surviving messages into counts
-// and the shard accumulator — the phaseCount per-sender body, shared by
-// the sharded scan and the coordinator-only stepped walk. With track set
-// (coordinator-only rounds), every recipient is appended to e.recip the
-// first time its counter leaves zero, so the deliver phase can walk just
-// the recipients with traffic.
+// countSender counts one stepped sender's surviving messages into the
+// per-recipient counters and the round's accumulator, appending every
+// recipient to e.recip the first time its counter leaves zero.
 //
 // A sender whose outbox is exactly one shared entry (ToAll or ToSet) —
 // mid-send filtering has already compacted any diverged outbox to
-// explicit survivors — takes the aggregate path: one addN bills the full fan-out, the
-// per-recipient counters stay untouched, and the sender joins the
-// worker's sharedRecs for planShared/scatterShared. An outbox that mixes
-// shared entries with anything else is expanded into explicit messages
-// first (worker-local buffers), preserving its emission order exactly —
-// shared targets never reach the explicit loop below.
-func (e *engine) countSender(w int, sh *metricShard, counts []int32, i int, track bool) {
+// explicit survivors — takes the aggregate path: one addN bills the
+// full fan-out, the per-recipient counters stay untouched, and the
+// sender joins sharedRecs for planShared/scatterShared. An outbox that
+// mixes shared entries with anything else is expanded into explicit
+// messages first, preserving its emission order exactly — shared
+// targets never reach the explicit loop below.
+func (e *engine) countSender(i int) {
 	out := e.outs[i]
 	if len(out) == 0 {
 		return
@@ -1097,9 +925,9 @@ func (e *engine) countSender(w int, sh *metricShard, counts []int32, i int, trac
 		// One entry, fan wire messages: Kind/Bits are evaluated once
 		// (payloads are immutable in flight), and addN accounts exactly
 		// as fan consecutive adds would.
-		sh.addN(msg.Payload.Kind(), msg.Payload.Bits(), int64(fan), honest, limit)
+		e.acc.addN(msg.Payload.Kind(), msg.Payload.Bits(), int64(fan), honest, limit)
 		e.metrics.PerNodeSent[i] += int64(fan)
-		e.sharedRecs[w] = append(e.sharedRecs[w], sharedRec{from: int32(i), target: tgt})
+		e.sharedRecs = append(e.sharedRecs, sharedRec{from: int32(i), target: tgt})
 		return
 	}
 	for k := range out {
@@ -1107,102 +935,57 @@ func (e *engine) countSender(w int, sh *metricShard, counts []int32, i int, trac
 			// Mixed outbox (shared entries alongside others, or several
 			// shared entries): expand to explicit messages so delivery
 			// order within the sender is preserved verbatim.
-			out = e.expandMixed(w, i, out)
+			start := len(e.expanded)
+			e.expanded = e.appendExpanded(e.expanded, out)
+			out = e.expanded[start:len(e.expanded):len(e.expanded)]
+			e.outs[i] = out
 			break
 		}
 	}
+	counts := e.counts
 	var sent int64
 	for k := range out {
 		msg := &out[k]
 		if msg.To < 0 || msg.To >= n {
 			panic(fmt.Sprintf("sim: node %d sent to invalid link %d", i, msg.To))
 		}
-		if track && counts[msg.To] == 0 {
+		if counts[msg.To] == 0 {
 			e.recip = append(e.recip, msg.To)
 		}
 		counts[msg.To]++
 		sent++
-		sh.add(msg.Payload.Kind(), msg.Payload.Bits(), honest, limit)
+		e.acc.add(msg.Payload.Kind(), msg.Payload.Bits(), honest, limit)
 	}
 	e.metrics.PerNodeSent[i] += sent
 }
 
-// expandMixed replaces sender i's mixed outbox with its explicit
-// expansion from worker w's buffer pool; the same worker reads the
-// rewritten outbox again in its scatter phase.
-func (e *engine) expandMixed(w, i int, out Outbox) Outbox {
-	p := &e.wexpand[w]
-	var buf []Message
-	if p.used < len(p.bufs) {
-		buf = p.bufs[p.used][:0]
-	} else {
-		p.bufs = append(p.bufs, nil)
-	}
-	buf = e.appendExpanded(buf, out)
-	p.bufs[p.used] = buf
-	p.used++
-	e.outs[i] = buf
-	return buf
-}
-
-// planShared runs on the coordinator between the count and deliver
-// phases: it discovers this round's distinct shared targets, carves one
-// aggregate segment per target out of the parity aggregate slab, and
-// seeds per-worker scatter cursors so that each segment is filled in
-// global sender order (workers ascending, senders ascending within each
-// worker — the same order the counting sort assigns explicit slots in).
-// Cost: O(shared senders + targets × workers); rounds without shared
-// traffic pay one boolean scan over the active workers.
+// planShared runs between the count and deliver phases: it discovers
+// this round's distinct shared targets, sizes each by its pure-shared
+// senders and carves one aggregate segment per target out of the parity
+// aggregate slab. Rounds without shared traffic return at once.
 func (e *engine) planShared() {
 	e.actSets = e.actSets[:0]
-	e.aggActive = false
-	any := false
-	for w := 0; w < e.active; w++ {
-		if len(e.sharedRecs[w]) > 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
+	e.aggActive = len(e.sharedRecs) > 0
+	if !e.aggActive {
 		return
 	}
-	e.aggActive = true
-	for w := 0; w < e.active; w++ {
-		for _, r := range e.sharedRecs[w] {
-			if e.actIdx(r.target) < 0 {
-				e.actSets = append(e.actSets, actSet{id: int(r.target)})
-			}
+	total := 0
+	for _, r := range e.sharedRecs {
+		idx := e.actIdx(r.target)
+		if idx < 0 {
+			idx = len(e.actSets)
+			e.actSets = append(e.actSets, actSet{id: int(r.target)})
 		}
+		e.actSets[idx].total++
+		total++
 	}
-	na := len(e.actSets)
-	for w := 0; w < e.active; w++ {
-		cur := growSpan(e.sharedCur[w], na)
-		for i := 0; i < na; i++ {
-			cur[i] = 0
-		}
-		for _, r := range e.sharedRecs[w] {
-			cur[e.actIdx(r.target)]++
-		}
-		e.sharedCur[w] = cur
-	}
-	// Exclusive prefix over (target, worker): cursors become absolute
-	// write offsets into the aggregate slab.
+	buf := e.aggSlabs[e.round&1].fill(total)
 	off := 0
 	for i := range e.actSets {
 		a := &e.actSets[i]
-		t := int32(0)
-		for w := 0; w < e.active; w++ {
-			c := e.sharedCur[w][i]
-			e.sharedCur[w][i] = int32(off) + t
-			t += c
-		}
-		a.start, a.total = off, int(t)
-		off += int(t)
-	}
-	e.aggBuf = e.aggSlabs[e.round&1].fill(off)
-	for i := range e.actSets {
-		a := &e.actSets[i]
-		a.seg = e.aggBuf[a.start : a.start+a.total : a.start+a.total]
+		a.seg = buf[off : off+a.total : off+a.total]
+		a.cur = 0
+		off += a.total
 	}
 }
 
@@ -1217,23 +1000,16 @@ func (e *engine) actIdx(target int32) int {
 	return -1
 }
 
-// scatterShared writes worker w's pure-shared senders into the aggregate
-// segments at the planned cursors, stamping the true sender. Workers
-// write disjoint cursor ranges, and walking sharedRecs in order keeps
-// every segment in global sender order.
-func (e *engine) scatterShared(w int) {
-	recs := e.sharedRecs[w]
-	if len(recs) == 0 {
-		return
-	}
-	cur := e.sharedCur[w]
-	for _, r := range recs {
-		idx := e.actIdx(r.target)
-		pos := cur[idx]
-		cur[idx] = pos + 1
+// scatterShared writes the pure-shared senders' entries into their
+// aggregate segments, stamping the true sender. sharedRecs is ascending,
+// so every segment comes out in sender order.
+func (e *engine) scatterShared() {
+	for _, r := range e.sharedRecs {
+		a := &e.actSets[e.actIdx(r.target)]
 		msg := e.outs[r.from][0]
 		msg.From = int(r.from)
-		e.aggBuf[pos] = msg
+		a.seg[a.cur] = msg
+		a.cur++
 	}
 }
 
@@ -1242,10 +1018,9 @@ func (e *engine) scatterShared(w int) {
 // whose only traffic is a single segment is bound to it zero-copy
 // (boundGen marks the view as still carrying the sender's To sentinel);
 // a recipient with several sources — an individual view, or more than
-// one segment — is queued on the worker's merge list for phaseMerge.
-// The coordinator-only path calls this with the full [0, n) span.
-func (e *engine) deliverShared(w, lo, hi int, stamp uint32) {
-	ml := e.mergeList[w][:0]
+// one segment — is queued on mergeList for phaseMerge.
+func (e *engine) deliverShared(stamp uint32) {
+	ml := e.mergeList[:0]
 	toAllIdx := -1
 	for idx := range e.actSets {
 		a := &e.actSets[idx]
@@ -1253,11 +1028,10 @@ func (e *engine) deliverShared(w, lo, hi int, stamp uint32) {
 			toAllIdx = idx
 			continue
 		}
-		// Mark this worker's members of the named set; a second named
-		// source for the same recipient degrades it to "multiple".
-		members := e.sets.membersOf(a.id)
-		for j := lowerBound(members, lo); j < len(members) && int(members[j]) < hi; j++ {
-			to := int(members[j])
+		// Mark the members of the named set; a second named source for
+		// the same recipient degrades it to "multiple".
+		for _, m := range e.sets.membersOf(a.id) {
+			to := int(m)
 			if e.srcGen[to] == stamp {
 				e.srcSet[to] = -2
 			} else {
@@ -1268,16 +1042,15 @@ func (e *engine) deliverShared(w, lo, hi int, stamp uint32) {
 	}
 	if toAllIdx >= 0 {
 		// Every recipient has the ToAll segment as a source.
-		for to := lo; to < hi; to++ {
+		for to := range e.nodes {
 			ml = e.classifyShared(to, stamp, toAllIdx, ml)
 		}
 	} else {
 		// Only members of an active named set can have a shared source;
 		// walk those, classifying each recipient once.
 		for idx := range e.actSets {
-			members := e.sets.membersOf(e.actSets[idx].id)
-			for j := lowerBound(members, lo); j < len(members) && int(members[j]) < hi; j++ {
-				to := int(members[j])
+			for _, m := range e.sets.membersOf(e.actSets[idx].id) {
+				to := int(m)
 				if e.clsGen[to] == stamp {
 					continue
 				}
@@ -1286,7 +1059,7 @@ func (e *engine) deliverShared(w, lo, hi int, stamp uint32) {
 			}
 		}
 	}
-	e.mergeList[w] = ml
+	e.mergeList = ml
 }
 
 // classifyShared resolves recipient to's delivery for an aggregate-active
@@ -1339,30 +1112,25 @@ func (e *engine) classifyShared(to int, stamp uint32, toAllIdx int, ml []int32) 
 
 // phaseMerge materializes the inboxes of recipients with several
 // delivery sources: the individual view and every covering aggregate
-// segment are k-way merged by sender into the worker's merge slab, with
+// segment are k-way merged by sender into the parity merge slab, with
 // To rewritten to the recipient during the copy. Sources are
 // sender-disjoint (a sender's round outbox is either one shared entry or
 // all-explicit), so the merge by leading From reproduces the explicit
 // representation's (sender, emission) delivery order exactly.
-func (e *engine) phaseMerge(w int) {
-	ml := e.mergeList[w]
-	if len(ml) == 0 {
-		return
-	}
+func (e *engine) phaseMerge() {
 	stamp := uint32(e.round) + 1
 	var total int
-	for _, to32 := range ml {
+	for _, to32 := range e.mergeList {
 		to := int(to32)
 		if e.nextGen[to] == stamp {
 			total += len(e.nextInb[to])
 		}
 		total += e.aggLenFor(to)
 	}
-	slab := &e.mergeSlabs[e.round&1][w]
-	buf := slab.fill(total)
+	buf := e.mergeSlabs[e.round&1].fill(total)
 	off := 0
 	var srcs [][]Message
-	for _, to32 := range ml {
+	for _, to32 := range e.mergeList {
 		to := int(to32)
 		srcs = srcs[:0]
 		if e.nextGen[to] == stamp {
@@ -1419,143 +1187,80 @@ func (e *engine) aggLenFor(to int) int {
 	return total
 }
 
-// phaseDeliver turns the per-worker counters for this shard's *recipients*
-// into exclusive prefix offsets — the counting sort's allocation step —
-// and carves this round's inbox views out of the shard's parity slab.
-// Worker w's senders all precede worker w+1's, so within each view the
-// offset order is global sender order; the order of views *within* the
-// slab (recipient discovery order on sparse rounds) is immaterial.
-// Recipients without traffic are never touched: their table entry keeps
-// a stale view that inboxOf's generation check filters out.
-func (e *engine) phaseDeliver(w, lo, hi int) {
-	slab := &e.slabs[e.round&1][w]
+// phaseDeliver carves this round's inbox views out of the parity slab,
+// one per recipient on recip, sized by its counter — the counting sort's
+// allocation step. Every view starts at slot zero, so resetting the
+// counter to zero doubles as the prefix pass and leaves it as scatter's
+// write cursor. The order of views within the slab (recipient discovery
+// order) is immaterial. Recipients without traffic are never touched:
+// their table entry keeps a stale view that inboxOf's generation check
+// filters out.
+func (e *engine) phaseDeliver() {
 	stamp := uint32(e.round) + 1
-	if e.active == 1 {
-		// Coordinator-only round: every recipient with traffic is on the
-		// recip list, and with one worker every in-view offset starts at
-		// zero — resetting the counter to zero doubles as the prefix pass.
-		counts := e.counts[0]
-		var total int
-		for _, to := range e.recip {
-			total += int(counts[to])
-		}
-		buf := slab.fill(total)
-		off := 0
-		for _, to := range e.recip {
-			cnt := int(counts[to])
-			counts[to] = 0
-			e.metrics.PerNodeReceived[to] += int64(cnt)
-			e.nextInb[to] = buf[off : off+cnt : off+cnt]
-			e.nextGen[to] = stamp
-			off += cnt
-		}
-		if e.aggActive {
-			e.deliverShared(0, 0, len(e.nodes), stamp)
-		}
-		return
-	}
-	// Pass 1: size the shard's slab without disturbing the counters.
 	var total int
-	for to := lo; to < hi; to++ {
-		for x := 0; x < e.active; x++ {
-			total += int(e.counts[x][to])
-		}
+	for _, to := range e.recip {
+		total += int(e.counts[to])
 	}
-	buf := slab.fill(total)
-	// Pass 2: exclusive prefix offsets per recipient (view-relative) and
-	// view assignment at the running slab offset.
+	buf := e.slabs[e.round&1].fill(total)
 	off := 0
-	for to := lo; to < hi; to++ {
-		var sum int32
-		for x := 0; x < e.active; x++ {
-			c := e.counts[x][to]
-			e.counts[x][to] = sum
-			sum += c
-		}
-		if sum == 0 {
-			continue
-		}
-		e.metrics.PerNodeReceived[to] += int64(sum)
-		e.nextInb[to] = buf[off : off+int(sum) : off+int(sum)]
+	for _, to := range e.recip {
+		cnt := int(e.counts[to])
+		e.counts[to] = 0
+		e.metrics.PerNodeReceived[to] += int64(cnt)
+		e.nextInb[to] = buf[off : off+cnt : off+cnt]
 		e.nextGen[to] = stamp
-		off += int(sum)
+		off += cnt
 	}
 	if e.aggActive {
-		e.deliverShared(w, lo, hi, stamp)
+		e.deliverShared(stamp)
 	}
 }
 
-// phaseScatter places the shard's surviving messages at their precomputed
-// inbox offsets, stamping the true sender (authenticated channels).
-// Distinct workers write disjoint ranges of each inbox.
-func (e *engine) phaseScatter(w, lo, hi int) {
-	counts := e.counts[w]
+// phaseScatter places every stepped sender's surviving messages in its
+// recipients' views, stamping the true sender (authenticated channels).
+// The stepped list is ascending, so slots are assigned in sender order.
+// Pure-shared senders go to their aggregate segment instead, and mixed
+// outboxes were expanded during the count phase, so no shared target
+// ever reaches the per-message loop.
+func (e *engine) phaseScatter() {
 	if e.aggActive {
-		e.scatterShared(w)
+		e.scatterShared()
 	}
-	if e.active == 1 {
-		// Coordinator-only round: walk just the senders that acted. The
-		// stepped list is ascending, so offsets are still assigned in
-		// global sender order.
-		for _, i := range e.stepped {
-			e.scatterSender(counts, i)
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if !e.acted[i] {
+	counts := e.counts
+	for _, i := range e.stepped {
+		out := e.outs[i]
+		if len(out) == 1 && out[0].To < 0 {
 			continue
 		}
-		e.scatterSender(counts, i)
+		for k := range out {
+			msg := out[k]
+			msg.From = i
+			pos := counts[msg.To]
+			counts[msg.To] = pos + 1
+			e.nextInb[msg.To][pos] = msg
+		}
 	}
 }
 
-// scatterSender places one acted sender's surviving messages at their
-// precomputed inbox offsets — the phaseScatter per-sender body, shared by
-// the sharded scan and the coordinator-only stepped walk. Shared senders
-// are skipped: scatterShared already placed their single entry in an
-// aggregate segment, and mixed outboxes were expanded during the count
-// phase, so no shared target ever reaches the per-message loop.
-func (e *engine) scatterSender(counts []int32, i int) {
-	out := e.outs[i]
-	if len(out) == 1 && out[0].To < 0 {
-		return
-	}
-	for k := range out {
-		msg := out[k]
-		msg.From = i
-		pos := counts[msg.To]
-		counts[msg.To] = pos + 1
-		e.nextInb[msg.To][pos] = msg
-	}
-}
-
-// foldMetrics merges the per-shard accumulators into the public Metrics
-// at the round barrier. Every merge is commutative integer arithmetic, so
-// the fold is identical at every worker count.
+// foldMetrics merges the round's accumulator into the public Metrics at
+// the end of the round.
 func (e *engine) foldMetrics() {
 	m := e.metrics
-	var roundMsgs int64
-	// Only the shards that ran this round hold fresh accumulators; the
-	// rest were folded (and will be reset) the next time they run.
-	for w := 0; w < e.active; w++ {
-		sh := &e.shards[w]
-		sh.flushRun()
-		roundMsgs += sh.messages
-		m.Messages += sh.messages
-		m.Bits += sh.bits
-		m.HonestMessages += sh.honestMessages
-		m.HonestBits += sh.honestBits
-		m.OversizeMessages += sh.oversize
-		if sh.maxMessageBits > m.MaxMessageBits {
-			m.MaxMessageBits = sh.maxMessageBits
-		}
-		for k, v := range sh.perKind {
-			m.PerKind[k] += v
-		}
-		for k, v := range sh.perKindBits {
-			m.PerKindBits[k] += v
-		}
+	a := &e.acc
+	a.flushRun()
+	m.Messages += a.messages
+	m.Bits += a.bits
+	m.HonestMessages += a.honestMessages
+	m.HonestBits += a.honestBits
+	m.OversizeMessages += a.oversize
+	if a.maxMessageBits > m.MaxMessageBits {
+		m.MaxMessageBits = a.maxMessageBits
 	}
-	e.lastMsgs = roundMsgs
+	for k, v := range a.perKind {
+		m.PerKind[k] += v
+	}
+	for k, v := range a.perKindBits {
+		m.PerKindBits[k] += v
+	}
+	e.lastMsgs = a.messages
 }

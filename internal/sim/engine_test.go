@@ -197,7 +197,8 @@ func TestEngineWorkerClamp(t *testing.T) {
 	}
 	covered := 0
 	for w := 0; w < nw.workers; w++ {
-		covered += nw.shardHi[w] - nw.shardLo[w]
+		lo, hi := nw.span(w, 3)
+		covered += hi - lo
 	}
 	if covered != 3 {
 		t.Fatalf("shards cover %d nodes, want 3", covered)
@@ -220,16 +221,51 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestInvalidLinkPanicsParallel mirrors TestInvalidLinkPanics at a
-// multi-worker count: a worker-shard panic must propagate to the
-// StepRound caller, not kill the process from a bare goroutine.
+// multi-worker count: the panic must propagate to the StepRound caller,
+// not kill the process from a bare goroutine. Routing, which rejects the
+// invalid link, runs on the coordinator; the second half covers the
+// pool's own recover path with a node whose Step panics inside a worker
+// shard, and checks that the pooled engine still runs the next lease
+// exactly like a fresh one.
 func TestInvalidLinkPanicsParallel(t *testing.T) {
 	nodes := []Node{&badNode{}, &badNode{}, &badNode{}, &badNode{}}
 	nw := NewNetwork(nodes, WithEngineWorkers(4))
 	defer nw.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for invalid link")
-		}
-	}()
-	nw.StepRound()
+	if recovered(nw.StepRound) == nil {
+		t.Fatal("expected panic for invalid link")
+	}
+
+	pool := NewPool()
+	defer pool.Close()
+	_, simNodes := buildEcho(4, 1)
+	// Four nodes on four workers: node 3 is stepped by worker 3.
+	simNodes[3] = stepPanicNode{}
+	leased := pool.Acquire(simNodes, WithEngineWorkers(4))
+	if got := recovered(leased.StepRound); got != stepPanicValue {
+		t.Fatalf("StepRound panicked with %v, want the worker's %q", got, stepPanicValue)
+	}
+	leased.Close()
+
+	freshNodes, freshSim := buildEcho(4, 1)
+	want := runFingerprint(t, NewNetwork(freshSim, WithEngineWorkers(4)), freshNodes, 4)
+	poolNodes, poolSim := buildEcho(4, 1)
+	if got := runFingerprint(t, pool.Acquire(poolSim, WithEngineWorkers(4)), poolNodes, 4); got != want {
+		t.Fatalf("lease after a worker panic diverged from a fresh run:\npooled:\n%s\nfresh:\n%s", got, want)
+	}
+}
+
+// stepPanicNode panics inside Step with stepPanicValue.
+type stepPanicNode struct{}
+
+const stepPanicValue = "node step panic"
+
+func (stepPanicNode) Step(int, []Message) Outbox { panic(stepPanicValue) }
+func (stepPanicNode) Output() (int, bool)        { return 0, false }
+func (stepPanicNode) Halted() bool               { return false }
+
+// recovered runs fn and returns the value it panicked with, or nil.
+func recovered(fn func()) (p any) {
+	defer func() { p = recover() }()
+	fn()
+	return nil
 }

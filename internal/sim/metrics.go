@@ -9,10 +9,9 @@ import (
 // Metrics accumulates the communication-complexity measures the paper
 // reports: total messages, total bits, rounds executed, and the largest
 // single message observed (to validate the O(log N) message-size claim).
-// During a round each engine shard counts into its own metricShard; the
-// shards are folded into Metrics at the round barrier, so Metrics needs
-// no locking and every fold (commutative integer sums and maxima) is
-// identical at any worker count.
+// During a round the engine counts into one metricAcc, folded into
+// Metrics at the end of the round; routing runs on the coordinator, so
+// neither needs locking.
 type Metrics struct {
 	// Messages is the total number of messages sent. A message to a
 	// crashed recipient still counts: the sender paid for it.
@@ -53,11 +52,10 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// metricShard is one engine worker's per-round accumulator. The hot path
-// (add) touches only shard-local state — no locks, no shared cache lines —
-// and the per-kind maps are fed through a run-length cache because
-// protocols overwhelmingly emit runs of the same payload kind.
-type metricShard struct {
+// metricAcc is the engine's per-round accumulator. The per-kind maps
+// are fed through a run-length cache because protocols overwhelmingly
+// emit runs of the same payload kind.
+type metricAcc struct {
 	messages       int64
 	bits           int64
 	honestMessages int64
@@ -74,13 +72,13 @@ type metricShard struct {
 	runBits  int64
 }
 
-func (s *metricShard) init() {
+func (s *metricAcc) init() {
 	s.perKind = make(map[string]int64)
 	s.perKindBits = make(map[string]int64)
 }
 
-// reset clears the shard for a new round (after the previous fold).
-func (s *metricShard) reset() {
+// reset clears the accumulator for a new round (after the previous fold).
+func (s *metricAcc) reset() {
 	s.messages = 0
 	s.bits = 0
 	s.honestMessages = 0
@@ -98,7 +96,7 @@ func (s *metricShard) reset() {
 // engine's accounting: totals include Byzantine senders, while the
 // honest-only aggregates (and the CONGEST/size checks, which measure the
 // algorithm rather than the adversary) require honest == true.
-func (s *metricShard) add(kind string, bits int, honest bool, limit int) {
+func (s *metricAcc) add(kind string, bits int, honest bool, limit int) {
 	s.messages++
 	s.bits += int64(bits)
 	if honest {
@@ -123,7 +121,7 @@ func (s *metricShard) add(kind string, bits int, honest bool, limit int) {
 // fast path, where one ToAll outbox entry becomes count wire messages of
 // the same kind and size. Exactly equivalent to count consecutive add
 // calls, including the run-length cache interaction.
-func (s *metricShard) addN(kind string, bits int, count int64, honest bool, limit int) {
+func (s *metricAcc) addN(kind string, bits int, count int64, honest bool, limit int) {
 	s.messages += count
 	s.bits += int64(bits) * count
 	if honest {
@@ -145,7 +143,7 @@ func (s *metricShard) addN(kind string, bits int, count int64, honest bool, limi
 }
 
 // flushRun spills the run-length cache into the per-kind maps.
-func (s *metricShard) flushRun() {
+func (s *metricAcc) flushRun() {
 	if s.runCount != 0 {
 		s.perKind[s.runKind] += s.runCount
 		s.perKindBits[s.runKind] += s.runBits

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"runtime"
-	"unsafe"
 )
 
 // ErrRoundLimit is returned by Network.Run when the round budget is
@@ -127,8 +126,8 @@ func WithEagerMulticast() Option {
 	return func(e *engine) { e.eagerMulticast = true }
 }
 
-// WithEngineWorkers pins the engine's worker count (shards) instead of
-// the GOMAXPROCS default. Results are bit-identical at every setting —
+// WithEngineWorkers pins the engine's worker count — the shards node
+// Step calls fan out over — instead of the GOMAXPROCS default. Results are bit-identical at every setting —
 // the determinism tests exercise exactly that — so this is a performance
 // and testing knob, never a semantics knob.
 func WithEngineWorkers(p int) Option {
@@ -169,41 +168,6 @@ func (nw *Network) Close() {
 
 // Metrics exposes the accumulated communication metrics.
 func (nw *Network) Metrics() *Metrics { return nw.metrics }
-
-// EngineMemStats reports the engine's inbox-slab footprint, for memory
-// benchmarks and the docs/MEMORY.md walkthrough.
-type EngineMemStats struct {
-	// InboxSlabBytes is the total capacity, in bytes, of the engine's
-	// message arenas (both parities, all workers).
-	InboxSlabBytes int64
-	// InboxSlabFills counts slab refills across the run — one per
-	// (round, worker-with-traffic) pair.
-	InboxSlabFills int64
-}
-
-// MemStats returns the engine's current inbox-slab footprint, summed
-// over the per-worker individual slabs, the shared-aggregate slabs, and
-// the merge slabs (both parities each).
-func (nw *Network) MemStats() EngineMemStats {
-	var ms EngineMemStats
-	msgSize := int64(unsafe.Sizeof(Message{}))
-	for par := range nw.slabs {
-		for w := range nw.slabs[par] {
-			s := &nw.slabs[par][w]
-			ms.InboxSlabBytes += int64(cap(s.buf)) * msgSize
-			ms.InboxSlabFills += int64(s.fills)
-		}
-		for w := range nw.mergeSlabs[par] {
-			s := &nw.mergeSlabs[par][w]
-			ms.InboxSlabBytes += int64(cap(s.buf)) * msgSize
-			ms.InboxSlabFills += int64(s.fills)
-		}
-		s := &nw.aggSlabs[par]
-		ms.InboxSlabBytes += int64(cap(s.buf)) * msgSize
-		ms.InboxSlabFills += int64(s.fills)
-	}
-	return ms
-}
 
 // Alive reports whether node i is alive.
 func (nw *Network) Alive(i int) bool { return nw.alive[i] }

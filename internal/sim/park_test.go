@@ -239,6 +239,7 @@ func parkNodes(fleet []prober) ([]Node, func(int) any) {
 // parkStats is what one engine run reports about its rounds.
 type parkStats struct {
 	parked, full, parallel int
+	parkedParallel         int // parked rounds whose steps fanned across the pool
 	awake                  int // Σ |awake| over parked rounds
 	polls, steps           int
 }
@@ -280,15 +281,21 @@ func runParkEngine(t *testing.T, pool *Pool, workers int, eager bool) (compactRu
 		before := parkPolls(fleet)
 		nw.StepRound()
 		polls := parkPolls(fleet) - before
-		bound := parkN
-		switch {
-		case nw.active > 1:
+		// A round fans its steps across the pool when more than one
+		// worker is active; parking applies to both kinds of round.
+		parallel := nw.active > 1
+		if parallel {
 			st.parallel++
-		case parked:
+		}
+		bound := parkN
+		if parked {
 			st.parked++
 			st.awake += awake
 			bound = awake
-		default:
+			if parallel {
+				st.parkedParallel++
+			}
+		} else {
 			st.full++
 		}
 		if polls > bound {
@@ -308,8 +315,10 @@ func runParkEngine(t *testing.T, pool *Pool, workers int, eager bool) (compactRu
 // inboxes — and produce exactly the metrics and round digests of the
 // reference that polls every node every round. It runs adaptive (a
 // four-worker pool) and at pinned 1, 2 and 8 workers, with and without
-// shared multicasts, and checks that parking engages: a parked round
-// polls only its awake list, and parked rounds are the norm.
+// shared multicasts, and checks that parking engages at every worker
+// count: a parked round polls only its awake list, whether its steps
+// run on the coordinator or fan across the pool, and parked rounds are
+// the norm.
 func TestParkingMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	fleet := newParkFleet()
@@ -339,10 +348,10 @@ func TestParkingMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got.digests, want.digests) {
 				t.Errorf("%s: round digests\n got %+v\nwant %+v", name, got.digests, want.digests)
 			}
-			t.Logf("%s: %d parked, %d full-scan, %d parallel rounds; %d polls, %d steps, %d messages, %d awake visits",
-				name, st.parked, st.full, st.parallel, st.polls, st.steps, got.metrics.Messages, st.awake)
-			if workers > 1 {
-				continue
+			t.Logf("%s: %d parked (%d of them parallel), %d full-scan, %d parallel rounds; %d polls, %d steps, %d messages, %d awake visits",
+				name, st.parked, st.parkedParallel, st.full, st.parallel, st.polls, st.steps, got.metrics.Messages, st.awake)
+			if workers != 1 && st.parkedParallel == 0 {
+				t.Errorf("%s: no parked round fanned its steps across the pool", name)
 			}
 			if st.parked < parkRounds/2 {
 				t.Errorf("%s: only %d of %d rounds parked", name, st.parked, parkRounds)
@@ -364,7 +373,11 @@ func TestParkingMatchesReference(t *testing.T) {
 	pool := NewPool()
 	defer pool.Close()
 	for lease := 0; lease < 3; lease++ {
-		got, _ := runParkEngine(t, pool, 1, lease == 1)
+		workers := 1
+		if lease == 2 {
+			workers = 4 // the reused engine grows its worker pool
+		}
+		got, _ := runParkEngine(t, pool, workers, lease == 1)
 		if got.log != want.log || !reflect.DeepEqual(got.metrics, want.metrics) || !reflect.DeepEqual(got.digests, want.digests) {
 			t.Errorf("pooled lease %d diverges from the reference", lease)
 		}

@@ -4,8 +4,8 @@ import "runtime"
 
 // Pool owns one reusable round engine. Building a Network is cheap in
 // principle, but every NewNetwork call re-allocates the per-node tables,
-// per-worker counters, and inbox slab arenas, and spawns a fresh worker
-// pool — for callers that run many short executions back to back (the
+// delivery counters and inbox slab arenas, and spawns a fresh worker
+// pool for node steps — for callers that run many short executions back to back (the
 // long-lived renaming service runs one per epoch), that setup dominates
 // the run itself. Acquire leases the pooled engine instead: reset wipes
 // the per-run state but keeps every allocation and every parked worker

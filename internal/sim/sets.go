@@ -156,18 +156,3 @@ func containsMember(list []int32, to int) bool {
 	}
 	return lo < len(list) && int(list[lo]) == to
 }
-
-// lowerBound returns the first index of the ascending list with value
-// >= to — the start of a worker's member range.
-func lowerBound(list []int32, to int) int {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(list[mid]) < to {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
