@@ -13,6 +13,7 @@ ci:
 	if command -v staticcheck >/dev/null; then staticcheck ./...; else echo "staticcheck not installed, skipping"; fi
 	$(GO) build ./...
 	$(GO) test ./... -short -race
+	$(GO) test -race ./internal/sim ./internal/service ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzAbsorbNew$$' -fuzztime 15s ./internal/core
 	$(GO) test -run '^$$' -bench StepRound -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench 'MidSendCompaction|LazyRandDraw' -benchtime 1x ./internal/sim

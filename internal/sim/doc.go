@@ -17,18 +17,19 @@
 //
 // # Contracts the packages above rely on
 //
-// Shared-multicast billing: a message addressed to ToAll (broadcast) or
-// ToSet (multicast to a set interned via Sets.InternPhase) is billed as
-// fan-out wire messages (sent-on-the-wire semantics — a crashed
-// recipient still costs the sender, as in the paper's model) but the
-// payload is stored once: recipients covered by exactly one shared
-// source are bound zero-copy to a shared aggregate segment, and the
-// rest receive a per-recipient merge. Individual copies are written
-// only for rushing previews and for senders crashing mid-send, whose
-// outboxes are compacted to the wire messages their filter keeps (a
-// filter that keeps everything leaves the shared entry in place), in
-// ascending-member order — byte-identical to eager emission (the
-// WithEagerMulticast ablation pins this). Payload implementations must
+// Shared-multicast billing: a message addressed to ToSet (multicast to a
+// set interned via Sets.InternPhase) or to ToAll (broadcast: the
+// reserved set 0, the full link range) is billed as fan-out wire
+// messages (sent-on-the-wire semantics — a crashed recipient still costs
+// the sender, as in the paper's model) but the payload is stored once:
+// recipients covered by exactly one shared source are bound zero-copy to
+// a shared aggregate segment, and the rest receive a per-recipient
+// merge. Individual copies are written only for rushing previews and for
+// senders crashing mid-send, whose outboxes are compacted to the wire
+// messages their filter keeps (a filter that keeps everything leaves the
+// shared entry in place), in ascending-member order — byte-identical to
+// eager emission (the WithEagerMulticast ablation, which declines
+// InternPhase but keeps set 0, pins this). Payload implementations must
 // therefore be read-only after Send. Delivered To is unspecified (a
 // bound view keeps the sender's sentinel); nodes identify themselves by
 // their own link index, and From is always the true sender.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 )
 
@@ -31,12 +32,15 @@ import (
 //	         filters consume shared randomness in ascending sender order;
 //	count    each stepped sender's outbox bumps one per-recipient counter
 //	         and the round's metric accumulator; recipients are listed
-//	         the first time their counter leaves zero;
+//	         the first time their counter leaves zero. An outbox that is
+//	         one shared entry — ToSet(id), with ToAll the reserved set 0
+//	         of every link — is billed once for the whole set instead;
 //	deliver  each listed recipient's count becomes a view carved out of
-//	         the parity slab;
+//	         the parity slab, and each shared set's members are bound to
+//	         (or queued to merge with) the set's aggregate segment;
 //	scatter  each stepped sender's messages are written, in ascending
 //	         sender order, at the next free slot of their recipients'
-//	         views.
+//	         views or of their set's segment.
 //
 // Because slots are assigned in (sender, emission) order, every inbox
 // comes out sorted by sender link with per-sender emission order
@@ -65,7 +69,6 @@ type engine struct {
 	rushing   []bool
 	rushList  []int // indices with rushing set, ascending (frozen at setup)
 	round     int
-	observer  func(round int, delivered []Message)
 	digest    func(RoundDigest)
 
 	// Worker pool, for the step phase only. workers is the resolved
@@ -153,39 +156,39 @@ type engine struct {
 	filterOrder []int
 	previews    map[int][]Message
 	rushInbox   []Message
-	delivered   []Message
 
 	// survivors is the arena mid-send crash filtering compacts filtered
 	// outboxes into: each crasher's surviving wire messages, shared
-	// entries (ToAll, ToSet) written out per recipient. It is sized once
+	// entries written out per member. It is sized once
 	// per round to the filtered senders' total wire count and reclaimed
 	// at the next evalFilters call, after the step phase has dropped all
 	// outbox references.
 	survivors []Message
 	roundEnd  []func() // coordinator hooks run at the end of every round
 
-	// Shared-aggregate delivery (ToAll broadcasts and ToSet multicasts).
-	// A sender whose round outbox is exactly one shared entry (after
-	// mid-send compaction: a filter that kept everything leaves it shared)
-	// is recorded in sharedRecs instead of the per-recipient counters;
-	// planShared (between count and deliver) carves one aggregate segment
-	// per distinct shared target out of the parity aggregate slab, which
-	// scatter fills in sender order. Recipients whose only traffic is a
-	// single segment are *bound* to it zero-copy (boundGen marks them —
-	// their view still carries the sender's To sentinel); recipients with
-	// several sources are listed on mergeList and merged into the parity
-	// merge slab by phaseMerge. See docs/MEMORY.md.
+	// Shared-aggregate delivery (ToSet multicasts, ToAll being the
+	// reserved full-range set 0). A sender whose round outbox is exactly
+	// one shared entry (after mid-send compaction: a filter that kept
+	// everything leaves it shared) is listed in sharedFrom instead of
+	// bumping the per-recipient counters; planShared (between count and
+	// deliver) carves one aggregate segment per distinct shared target
+	// out of the parity aggregate slab, which scatter fills in sender
+	// order. Recipients whose only traffic is a single segment are *bound*
+	// to it zero-copy (their view still carries the sender's To
+	// sentinel); recipients with several sources are listed on mergeList,
+	// and mergeTotal sums their inbox lengths for phaseMerge, which merges
+	// them into the parity merge slab. See docs/MEMORY.md.
 	sets           *Sets
 	eagerMulticast bool
-	sharedRecs     []sharedRec  // pure-shared senders, ascending
+	sharedFrom     []int32      // pure-shared senders, ascending
 	actSets        []actSet     // this round's distinct shared targets
 	aggSlabs       [2]inboxSlab // aggregate segments, by round parity
 	aggActive      bool
 	srcSet         []int32  // per recipient: actSets index of its named source
 	srcGen         []uint32 // stamp for srcSet
-	boundGen       []uint32 // per recipient: stamp when nextInb[i] is a raw segment
 	clsGen         []uint32 // per recipient: classification-done stamp
 	mergeList      []int32  // recipients needing a k-way merge
+	mergeTotal     int      // Σ inbox lengths over mergeList
 	mergeSlabs     [2]inboxSlab
 }
 
@@ -196,18 +199,11 @@ type stepShard struct {
 	awake   []int
 }
 
-// sharedRec records one pure-shared sender: target is the set id, or -1
-// for ToAll.
-type sharedRec struct {
-	from   int32
-	target int32
-}
-
-// actSet is one distinct shared target active this round: its aggregate
-// segment (a sender-ordered view into the aggregate slab), its size, and
-// the scatter cursor into it.
+// actSet is one distinct shared target active this round: its set id,
+// its aggregate segment (a sender-ordered view into the aggregate slab),
+// its size, and the scatter cursor into it.
 type actSet struct {
-	id    int // set id, -1 for ToAll
+	id    int
 	total int
 	cur   int
 	seg   []Message
@@ -272,7 +268,6 @@ func (e *engine) reset(nodes []Node) {
 	e.aliveView = growSpan(e.aliveView, n)
 	e.srcSet = growSpan(e.srcSet, n)
 	e.srcGen = growSpan(e.srcGen, n)
-	e.boundGen = growSpan(e.boundGen, n)
 	e.clsGen = growSpan(e.clsGen, n)
 	e.visit = growSpan(e.visit, (n+63)/64)
 	clear(e.visit)
@@ -290,7 +285,7 @@ func (e *engine) reset(nodes []Node) {
 		e.inbGen[i], e.nextGen[i] = 0, 0
 		// The aggregate stamps share the zeroed-means-never convention
 		// (round stamps start at 1), so cross-run staleness is impossible.
-		e.srcGen[i], e.boundGen[i], e.clsGen[i] = 0, 0, 0
+		e.srcGen[i], e.clsGen[i] = 0, 0
 		e.outs[i] = nil
 		// A previous run leaves its last round's counters dirty.
 		e.counts[i] = 0
@@ -316,7 +311,6 @@ func (e *engine) reset(nodes []Node) {
 	}
 	e.rushList = e.rushList[:0]
 	e.round = 0
-	e.observer = nil
 	e.digest = nil
 	e.roundEnd = e.roundEnd[:0]
 	e.reqWorkers = 0
@@ -330,7 +324,6 @@ func (e *engine) reset(nodes []Node) {
 	e.filterOrder = e.filterOrder[:0]
 	e.previews = nil
 	e.rushInbox = e.rushInbox[:0]
-	e.delivered = e.delivered[:0]
 	e.eagerMulticast = false
 	e.aggActive = false
 	e.actSets = e.actSets[:0]
@@ -545,27 +538,6 @@ func (e *engine) StepRound() {
 		e.digest(RoundDigest{Round: e.round, Messages: e.acc.messages, Bits: e.acc.bits, PerKind: e.acc.perKind})
 	}
 
-	if e.observer != nil {
-		e.delivered = e.delivered[:0]
-		gen := uint32(e.round) + 1
-		for i := range e.nextInb {
-			if e.nextGen[i] != gen {
-				continue
-			}
-			if e.boundGen[i] == gen {
-				// Zero-copy bound view: its entries carry the sender's
-				// shared To sentinel, so rewrite To while copying into the
-				// observer stream — byte-identical to explicit delivery.
-				for _, m := range e.nextInb[i] {
-					m.To = i
-					e.delivered = append(e.delivered, m)
-				}
-				continue
-			}
-			e.delivered = append(e.delivered, e.nextInb[i]...)
-		}
-		e.observer(e.round, e.delivered)
-	}
 	// Without shared-aggregate delivery every recipient with mail is on
 	// recip, so the next round may visit just awake ∪ recip; after an
 	// aggregate round it scans all n again.
@@ -684,41 +656,30 @@ func (e *engine) stepRushers() {
 	for _, i := range e.stepped {
 		filter := e.filters[i]
 		for _, msg := range e.outs[i] {
-			if msg.To == ToAll {
-				// A shared broadcast reaches every rushing node; expanding
-				// ascending over rushList matches the explicit broadcast's
-				// to = 0..n-1 visit order (and its filter-call order).
-				for _, r := range e.rushList {
-					if filter != nil && !filter(r) {
-						continue
-					}
-					e.previews[r] = append(e.previews[r], Message{From: i, To: r, Payload: msg.Payload})
+			if msg.To >= 0 {
+				if msg.To < n && e.rushing[msg.To] {
+					e.preview(i, msg.To, msg.Payload, filter)
 				}
 				continue
 			}
-			if msg.To <= toSetBase {
-				// Shared multicast: members are ascending, matching the
-				// explicit Multicast's emission (and filter-call) order.
-				for _, m := range e.sets.membersOf(toSetID(msg.To)) {
-					r := int(m)
-					if !e.rushing[r] {
-						continue
+			// Shared entry: walk the shorter of the set's members and
+			// rushList, probing the other. Both are ascending, so previews
+			// (and filter calls) follow the explicit Multicast's emission
+			// order either way.
+			members := e.setMembers(msg.To)
+			if len(members) <= len(e.rushList) {
+				for _, m := range members {
+					if e.rushing[m] {
+						e.preview(i, int(m), msg.Payload, filter)
 					}
-					if filter != nil && !filter(r) {
-						continue
-					}
-					e.previews[r] = append(e.previews[r], Message{From: i, To: r, Payload: msg.Payload})
 				}
 				continue
 			}
-			if msg.To < 0 || msg.To >= n || !e.rushing[msg.To] {
-				continue
+			for _, r := range e.rushList {
+				if containsMember(members, r) {
+					e.preview(i, r, msg.Payload, filter)
+				}
 			}
-			if filter != nil && !filter(msg.To) {
-				continue
-			}
-			msg.From = i
-			e.previews[msg.To] = append(e.previews[msg.To], msg)
 		}
 	}
 	// Step the rushers, merging each into the stepped list so it stays
@@ -749,6 +710,15 @@ func (e *engine) stepRushers() {
 	e.stepped, e.mergeBuf = e.mergeBuf, e.stepped
 }
 
+// preview appends sender i's payload to rusher r's preview, unless i's
+// mid-send filter drops the copy.
+func (e *engine) preview(i, r int, p Payload, filter SendFilter) {
+	if filter != nil && !filter(r) {
+		return
+	}
+	e.previews[r] = append(e.previews[r], Message{From: i, To: r, Payload: p})
+}
+
 // evalFilters compacts every mid-send crasher's outbox to the wire
 // messages its filter lets through. Filters may share a memoizing rng
 // (adversary.randomHalfFilter), so they are called once, sequentially,
@@ -765,7 +735,7 @@ func (e *engine) evalFilters() {
 	for s := range e.filters {
 		if len(e.outs[s]) > 0 {
 			e.filterOrder = append(e.filterOrder, s)
-			wire += e.wireLen(s)
+			wire += e.wireLen(e.outs[s])
 		}
 	}
 	sort.Ints(e.filterOrder)
@@ -775,8 +745,8 @@ func (e *engine) evalFilters() {
 	buf := e.survivors[:0]
 	for _, s := range e.filterOrder {
 		start := len(buf)
-		buf = e.appendSurvivors(buf, s)
-		if len(buf)-start == e.wireLen(s) {
+		buf = e.appendWire(buf, s, e.outs[s], e.filters[s])
+		if len(buf)-start == e.wireLen(e.outs[s]) {
 			buf = buf[:start]
 			continue
 		}
@@ -785,56 +755,51 @@ func (e *engine) evalFilters() {
 	e.survivors = buf
 }
 
-// wireLen returns the number of wire messages in sender s's outbox:
-// one per explicit entry, |set| per shared entry.
-func (e *engine) wireLen(s int) int {
+// wireLen returns the number of wire messages in outbox out: one per
+// explicit entry, |set| per shared entry.
+func (e *engine) wireLen(out Outbox) int {
 	total := 0
-	for _, msg := range e.outs[s] {
-		switch {
-		case msg.To == ToAll:
-			total += len(e.nodes)
-		case msg.To <= toSetBase:
+	for _, msg := range out {
+		if msg.To < 0 {
 			total += len(e.setMembers(msg.To))
-		default:
+		} else {
 			total++
 		}
 	}
 	return total
 }
 
-// appendSurvivors appends to buf the wire messages of sender s's outbox
-// that its mid-send filter keeps, calling the filter once per wire
-// message in emission order. buf must have room for every wire message
-// of s (evalFilters sizes it so): each one is written unconditionally
-// and the verdict only decides whether the cursor moves past it, which
-// keeps the coin-flip verdicts off the branch predictor.
-func (e *engine) appendSurvivors(buf []Message, s int) []Message {
+// appendWire appends to buf sender s's outbox out as wire messages, in
+// the exact order the eager representation emits them — shared entries
+// written out ascending over the set's members — keeping those filter
+// admits (every one when filter is nil) and calling filter once per wire
+// message in that order. buf must have room for wireLen(out) more
+// messages: each one is written unconditionally and the verdict only
+// decides whether the cursor moves past it, which keeps the coin-flip
+// verdicts off the branch predictor.
+func (e *engine) appendWire(buf []Message, s int, out Outbox, filter SendFilter) []Message {
+	if filter == nil {
+		// A per-message nil test instead made the filtered loop ~40%
+		// slower in BenchmarkMidSendCompaction.
+		filter = keepAll
+	}
 	n := len(e.nodes)
-	filter := e.filters[s]
 	k := len(buf)
 	buf = buf[:cap(buf)]
-	for _, msg := range e.outs[s] {
-		switch {
-		case msg.To == ToAll:
-			for to := 0; to < n; to++ {
-				buf[k] = Message{From: msg.From, To: to, Payload: msg.Payload}
-				if filter(to) {
-					k++
-				}
-			}
-		case msg.To <= toSetBase:
-			for _, m := range e.setMembers(msg.To) {
-				buf[k] = Message{From: msg.From, To: int(m), Payload: msg.Payload}
-				if filter(int(m)) {
-					k++
-				}
-			}
-		default:
-			if msg.To < 0 || msg.To >= n {
+	for _, msg := range out {
+		if msg.To >= 0 {
+			if msg.To >= n {
 				panic(fmt.Sprintf("sim: node %d sent to invalid link %d", s, msg.To))
 			}
 			buf[k] = msg
 			if filter(msg.To) {
+				k++
+			}
+			continue
+		}
+		for _, m := range e.setMembers(msg.To) {
+			buf[k] = Message{From: msg.From, To: int(m), Payload: msg.Payload}
+			if filter(int(m)) {
 				k++
 			}
 		}
@@ -842,37 +807,17 @@ func (e *engine) appendSurvivors(buf []Message, s int) []Message {
 	return buf[:k]
 }
 
-// setMembers returns the members of the set a ToSet sentinel names,
-// ascending, panicking on a sentinel no interned set backs.
+// keepAll is the SendFilter that keeps every wire message.
+func keepAll(int) bool { return true }
+
+// setMembers returns the members of the set a shared sentinel names,
+// ascending, panicking on a sentinel no set backs.
 func (e *engine) setMembers(to int) []int32 {
 	sid := toSetID(to)
 	if !e.sets.valid(sid) {
 		panic(fmt.Sprintf("sim: message addressed to unknown set %d", sid))
 	}
 	return e.sets.membersOf(sid)
-}
-
-// appendExpanded appends out to buf with every shared entry expanded into
-// explicit per-recipient messages, in the exact order the eager
-// representation would have emitted them: ToAll ascending over all links,
-// ToSet ascending over the set's members.
-func (e *engine) appendExpanded(buf []Message, out Outbox) []Message {
-	n := len(e.nodes)
-	for _, msg := range out {
-		switch {
-		case msg.To == ToAll:
-			for to := 0; to < n; to++ {
-				buf = append(buf, Message{From: msg.From, To: to, Payload: msg.Payload})
-			}
-		case msg.To <= toSetBase:
-			for _, m := range e.setMembers(msg.To) {
-				buf = append(buf, Message{From: msg.From, To: int(m), Payload: msg.Payload})
-			}
-		default:
-			buf = append(buf, msg)
-		}
-	}
-	return buf
 }
 
 // phaseCount resets the counter cells the previous round dirtied (its
@@ -884,7 +829,7 @@ func (e *engine) phaseCount() {
 		e.counts[to] = 0
 	}
 	e.recip = e.recip[:0]
-	e.sharedRecs = e.sharedRecs[:0]
+	e.sharedFrom = e.sharedFrom[:0]
 	e.expanded = e.expanded[:0]
 	e.acc.reset()
 	for _, i := range e.stepped {
@@ -896,14 +841,14 @@ func (e *engine) phaseCount() {
 // per-recipient counters and the round's accumulator, appending every
 // recipient to e.recip the first time its counter leaves zero.
 //
-// A sender whose outbox is exactly one shared entry (ToAll or ToSet) —
-// mid-send filtering has already compacted any diverged outbox to
-// explicit survivors — takes the aggregate path: one addN bills the
-// full fan-out, the per-recipient counters stay untouched, and the
-// sender joins sharedRecs for planShared/scatterShared. An outbox that
-// mixes shared entries with anything else is expanded into explicit
-// messages first, preserving its emission order exactly — shared
-// targets never reach the explicit loop below.
+// A sender whose outbox is exactly one shared entry — mid-send filtering
+// has already compacted any diverged outbox to explicit survivors —
+// takes the aggregate path: one addN bills the full fan-out, the
+// per-recipient counters stay untouched, and the sender joins sharedFrom
+// for planShared/scatterShared. An outbox that mixes shared entries with
+// anything else is expanded into explicit messages first, preserving its
+// emission order exactly — shared targets never reach the explicit loop
+// below.
 func (e *engine) countSender(i int) {
 	out := e.outs[i]
 	if len(out) == 0 {
@@ -914,20 +859,13 @@ func (e *engine) countSender(i int) {
 	honest := !e.byzantine[i]
 	if len(out) == 1 && out[0].To < 0 {
 		msg := &out[0]
-		fan, tgt := n, int32(ToAll)
-		if msg.To <= toSetBase {
-			sid := toSetID(msg.To)
-			if !e.sets.valid(sid) {
-				panic(fmt.Sprintf("sim: node %d sent to unknown set %d", i, sid))
-			}
-			fan, tgt = len(e.sets.membersOf(sid)), int32(sid)
-		}
 		// One entry, fan wire messages: Kind/Bits are evaluated once
 		// (payloads are immutable in flight), and addN accounts exactly
 		// as fan consecutive adds would.
-		e.acc.addN(msg.Payload.Kind(), msg.Payload.Bits(), int64(fan), honest, limit)
-		e.metrics.PerNodeSent[i] += int64(fan)
-		e.sharedRecs = append(e.sharedRecs, sharedRec{from: int32(i), target: tgt})
+		fan := int64(len(e.setMembers(msg.To)))
+		e.acc.addN(msg.Payload.Kind(), msg.Payload.Bits(), fan, honest, limit)
+		e.metrics.PerNodeSent[i] += fan
+		e.sharedFrom = append(e.sharedFrom, int32(i))
 		return
 	}
 	for k := range out {
@@ -936,7 +874,7 @@ func (e *engine) countSender(i int) {
 			// shared entries): expand to explicit messages so delivery
 			// order within the sender is preserved verbatim.
 			start := len(e.expanded)
-			e.expanded = e.appendExpanded(e.expanded, out)
+			e.expanded = e.appendWire(slices.Grow(e.expanded, e.wireLen(out)), i, out, nil)
 			out = e.expanded[start:len(e.expanded):len(e.expanded)]
 			e.outs[i] = out
 			break
@@ -965,21 +903,20 @@ func (e *engine) countSender(i int) {
 // aggregate slab. Rounds without shared traffic return at once.
 func (e *engine) planShared() {
 	e.actSets = e.actSets[:0]
-	e.aggActive = len(e.sharedRecs) > 0
+	e.aggActive = len(e.sharedFrom) > 0
 	if !e.aggActive {
 		return
 	}
-	total := 0
-	for _, r := range e.sharedRecs {
-		idx := e.actIdx(r.target)
+	for _, from := range e.sharedFrom {
+		id := toSetID(e.outs[from][0].To)
+		idx := e.actIdx(id)
 		if idx < 0 {
 			idx = len(e.actSets)
-			e.actSets = append(e.actSets, actSet{id: int(r.target)})
+			e.actSets = append(e.actSets, actSet{id: id})
 		}
 		e.actSets[idx].total++
-		total++
 	}
-	buf := e.aggSlabs[e.round&1].fill(total)
+	buf := e.aggSlabs[e.round&1].fill(len(e.sharedFrom))
 	off := 0
 	for i := range e.actSets {
 		a := &e.actSets[i]
@@ -989,11 +926,11 @@ func (e *engine) planShared() {
 	}
 }
 
-// actIdx returns the actSets index of target, or -1. Linear: a round has
+// actIdx returns the actSets index of set id, or -1. Linear: a round has
 // a handful of distinct shared targets at most.
-func (e *engine) actIdx(target int32) int {
+func (e *engine) actIdx(id int) int {
 	for i := range e.actSets {
-		if e.actSets[i].id == int(target) {
+		if e.actSets[i].id == id {
 			return i
 		}
 	}
@@ -1001,13 +938,13 @@ func (e *engine) actIdx(target int32) int {
 }
 
 // scatterShared writes the pure-shared senders' entries into their
-// aggregate segments, stamping the true sender. sharedRecs is ascending,
+// aggregate segments, stamping the true sender. sharedFrom is ascending,
 // so every segment comes out in sender order.
 func (e *engine) scatterShared() {
-	for _, r := range e.sharedRecs {
-		a := &e.actSets[e.actIdx(r.target)]
-		msg := e.outs[r.from][0]
-		msg.From = int(r.from)
+	for _, from := range e.sharedFrom {
+		msg := e.outs[from][0]
+		a := &e.actSets[e.actIdx(toSetID(msg.To))]
+		msg.From = int(from)
 		a.seg[a.cur] = msg
 		a.cur++
 	}
@@ -1015,97 +952,67 @@ func (e *engine) scatterShared() {
 
 // deliverShared classifies the recipients of this round's aggregate
 // segments, after the individual views have been carved. A recipient
-// whose only traffic is a single segment is bound to it zero-copy
-// (boundGen marks the view as still carrying the sender's To sentinel);
-// a recipient with several sources — an individual view, or more than
-// one segment — is queued on mergeList for phaseMerge.
+// whose only traffic is a single segment is bound to it zero-copy (the
+// view still carries the sender's To sentinel); a recipient with several
+// sources — an individual view, or more than one segment — is queued on
+// mergeList for phaseMerge.
 func (e *engine) deliverShared(stamp uint32) {
-	ml := e.mergeList[:0]
-	toAllIdx := -1
+	// Mark the members of every active set with it as their source; a
+	// second set covering the same recipient degrades it to "multiple".
 	for idx := range e.actSets {
-		a := &e.actSets[idx]
-		if a.id == ToAll {
-			toAllIdx = idx
-			continue
-		}
-		// Mark the members of the named set; a second named source for
-		// the same recipient degrades it to "multiple".
-		for _, m := range e.sets.membersOf(a.id) {
-			to := int(m)
-			if e.srcGen[to] == stamp {
-				e.srcSet[to] = -2
+		for _, m := range e.sets.membersOf(e.actSets[idx].id) {
+			if e.srcGen[m] == stamp {
+				e.srcSet[m] = -1
 			} else {
-				e.srcGen[to] = stamp
-				e.srcSet[to] = int32(idx)
+				e.srcGen[m] = stamp
+				e.srcSet[m] = int32(idx)
 			}
 		}
 	}
-	if toAllIdx >= 0 {
-		// Every recipient has the ToAll segment as a source.
-		for to := range e.nodes {
-			ml = e.classifyShared(to, stamp, toAllIdx, ml)
-		}
-	} else {
-		// Only members of an active named set can have a shared source;
-		// walk those, classifying each recipient once.
-		for idx := range e.actSets {
-			for _, m := range e.sets.membersOf(e.actSets[idx].id) {
-				to := int(m)
-				if e.clsGen[to] == stamp {
-					continue
-				}
-				e.clsGen[to] = stamp
-				ml = e.classifyShared(to, stamp, -1, ml)
+	// Only members of an active set have a shared source; walk those,
+	// classifying each recipient once.
+	ml := e.mergeList[:0]
+	e.mergeTotal = 0
+	for idx := range e.actSets {
+		for _, m := range e.sets.membersOf(e.actSets[idx].id) {
+			if e.clsGen[m] == stamp {
+				continue
 			}
+			e.clsGen[m] = stamp
+			ml = e.classifyShared(int(m), stamp, ml)
 		}
 	}
 	e.mergeList = ml
 }
 
 // classifyShared resolves recipient to's delivery for an aggregate-active
-// round: bind (zero-copy shared view), keep the individual view as-is, or
-// queue for merge. Aggregate receive counts are credited here; individual
-// counts were credited when the view was carved.
-func (e *engine) classifyShared(to int, stamp uint32, toAllIdx int, ml []int32) []int32 {
-	namedIdx, multi := -1, false
-	if e.srcGen[to] == stamp {
-		if e.srcSet[to] == -2 {
-			multi = true
-		} else {
-			namedIdx = int(e.srcSet[to])
-		}
-	}
+// round: bind (zero-copy shared view) or queue for merge, adding its
+// merged inbox length to mergeTotal. Aggregate receive counts are
+// credited here; individual counts were credited when the view was
+// carved.
+func (e *engine) classifyShared(to int, stamp uint32, ml []int32) []int32 {
+	idx := int(e.srcSet[to])
 	var recv int64
-	sources := 0
-	if toAllIdx >= 0 {
-		sources++
-		recv += int64(e.actSets[toAllIdx].total)
-	}
-	if multi {
-		sources += 2
-		for idx := range e.actSets {
-			a := &e.actSets[idx]
-			if a.id != ToAll && containsMember(e.sets.membersOf(a.id), to) {
+	if idx >= 0 {
+		recv = int64(e.actSets[idx].total)
+	} else {
+		for k := range e.actSets {
+			a := &e.actSets[k]
+			if containsMember(e.sets.membersOf(a.id), to) {
 				recv += int64(a.total)
 			}
 		}
-	} else if namedIdx >= 0 {
-		sources++
-		recv += int64(e.actSets[namedIdx].total)
-	}
-	if sources == 0 {
-		return ml
 	}
 	e.metrics.PerNodeReceived[to] += recv
-	if sources == 1 && e.nextGen[to] != stamp {
-		idx := toAllIdx
-		if idx < 0 {
-			idx = namedIdx
-		}
+	individual := e.nextGen[to] == stamp
+	if idx >= 0 && !individual {
 		e.nextInb[to] = e.actSets[idx].seg
 		e.nextGen[to] = stamp
-		e.boundGen[to] = stamp
 		return ml
+	}
+	e.mergeTotal += int(recv)
+	if individual {
+		e.mergeTotal += len(e.nextInb[to])
 	}
 	return append(ml, int32(to))
 }
@@ -1119,15 +1026,7 @@ func (e *engine) classifyShared(to int, stamp uint32, toAllIdx int, ml []int32) 
 // representation's (sender, emission) delivery order exactly.
 func (e *engine) phaseMerge() {
 	stamp := uint32(e.round) + 1
-	var total int
-	for _, to32 := range e.mergeList {
-		to := int(to32)
-		if e.nextGen[to] == stamp {
-			total += len(e.nextInb[to])
-		}
-		total += e.aggLenFor(to)
-	}
-	buf := e.mergeSlabs[e.round&1].fill(total)
+	buf := e.mergeSlabs[e.round&1].fill(e.mergeTotal)
 	off := 0
 	var srcs [][]Message
 	for _, to32 := range e.mergeList {
@@ -1138,10 +1037,7 @@ func (e *engine) phaseMerge() {
 		}
 		for idx := range e.actSets {
 			a := &e.actSets[idx]
-			if a.total == 0 {
-				continue
-			}
-			if a.id == ToAll || containsMember(e.sets.membersOf(a.id), to) {
+			if containsMember(e.sets.membersOf(a.id), to) {
 				srcs = append(srcs, a.seg)
 			}
 		}
@@ -1169,22 +1065,6 @@ func (e *engine) phaseMerge() {
 		e.nextGen[to] = stamp
 		off += cnt
 	}
-}
-
-// aggLenFor sums the lengths of the aggregate segments covering
-// recipient to this round.
-func (e *engine) aggLenFor(to int) int {
-	var total int
-	for idx := range e.actSets {
-		a := &e.actSets[idx]
-		if a.total == 0 {
-			continue
-		}
-		if a.id == ToAll || containsMember(e.sets.membersOf(a.id), to) {
-			total += a.total
-		}
-	}
-	return total
 }
 
 // phaseDeliver carves this round's inbox views out of the parity slab,

@@ -84,7 +84,7 @@ func (a *sharedRNGAdversary) Crashes(v View) []CrashOrder {
 // newDetScenario builds a fixed adversarial scenario (crashes with
 // shared-rng mid-send filters, Byzantine and rushing links, a CONGEST
 // budget) at the given engine worker count, with extra options such as
-// an observer appended.
+// a round digest appended.
 func newDetScenario(workers int, opts ...Option) (*Network, []*detNode) {
 	const n = 48
 	nodes := make([]*detNode, n)
@@ -110,16 +110,15 @@ func newDetScenario(workers int, opts ...Option) (*Network, []*detNode) {
 func runDetScenario(t *testing.T, workers int) string {
 	t.Helper()
 	wire := fnv.New64a()
-	nw, nodes := newDetScenario(workers,
-		WithObserver(func(round int, delivered []Message) {
-			fmt.Fprintf(wire, "r%d:", round)
-			for _, msg := range delivered {
-				fmt.Fprintf(wire, "%d>%d/%s/%d;", msg.From, msg.To, msg.Payload.Kind(), msg.Payload.Bits())
-			}
-		}))
+	nw, nodes := newDetScenario(workers)
 	defer nw.Close()
+	var delivered []Message
 	for r := 0; r < 16; r++ {
-		nw.StepRound()
+		delivered = stepDelivered(nw, delivered)
+		fmt.Fprintf(wire, "r%d:", r)
+		for _, msg := range delivered {
+			fmt.Fprintf(wire, "%d>%d/%s/%d;", msg.From, msg.To, msg.Payload.Kind(), msg.Payload.Bits())
+		}
 	}
 	m := nw.Metrics()
 	fp := fmt.Sprintf("wire=%x %s honest=%d/%d oversize=%d sent=%v recv=%v",
@@ -131,11 +130,26 @@ func runDetScenario(t *testing.T, workers int) string {
 	return fp
 }
 
-// TestRoundDigestMatchesObserver pins the digest contract telemetry
+// stepDelivered steps nw one round and returns the messages the round
+// put on the wire (post crash filtering): every recipient's next inbox,
+// recipients ascending, with To set to the recipient. buf is reused.
+func stepDelivered(nw *Network, buf []Message) []Message {
+	nw.StepRound()
+	buf = buf[:0]
+	for i := range nw.nodes {
+		for _, msg := range nw.inboxOf(i) {
+			msg.To = i
+			buf = append(buf, msg)
+		}
+	}
+	return buf
+}
+
+// TestRoundDigestMatchesDelivered pins the digest contract telemetry
 // relies on: on the det scenario, each round's RoundDigest carries
-// exactly the message count, bits and per-kind counts of the stream
-// WithObserver delivers for that round, quiet rounds included.
-func TestRoundDigestMatchesObserver(t *testing.T) {
+// exactly the message count, bits and per-kind counts of the messages
+// the round delivers, quiet rounds included.
+func TestRoundDigestMatchesDelivered(t *testing.T) {
 	type tally struct {
 		round          int
 		messages, bits int64
@@ -144,20 +158,19 @@ func TestRoundDigestMatchesObserver(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var observed, digested []tally
 		nw, _ := newDetScenario(workers,
-			WithObserver(func(round int, delivered []Message) {
-				r := tally{round: round, perKind: make(map[string]int64)}
-				for _, msg := range delivered {
-					r.messages++
-					r.bits += int64(msg.Payload.Bits())
-					r.perKind[msg.Payload.Kind()]++
-				}
-				observed = append(observed, r)
-			}),
 			WithRoundDigest(func(d RoundDigest) {
 				digested = append(digested, tally{round: d.Round, messages: d.Messages, bits: d.Bits, perKind: maps.Clone(d.PerKind)})
 			}))
-		for r := 0; r < 16; r++ {
-			nw.StepRound()
+		var delivered []Message
+		for round := 0; round < 16; round++ {
+			delivered = stepDelivered(nw, delivered)
+			r := tally{round: round, perKind: make(map[string]int64)}
+			for _, msg := range delivered {
+				r.messages++
+				r.bits += int64(msg.Payload.Bits())
+				r.perKind[msg.Payload.Kind()]++
+			}
+			observed = append(observed, r)
 		}
 		nw.Close()
 		if len(observed) != 16 || len(digested) != 16 {
@@ -166,7 +179,7 @@ func TestRoundDigestMatchesObserver(t *testing.T) {
 		for i := range observed {
 			o, d := observed[i], digested[i]
 			if o.round != d.round || o.messages != d.messages || o.bits != d.bits || !maps.Equal(o.perKind, d.perKind) {
-				t.Fatalf("workers=%d round %d: digest %+v, observer %+v", workers, i, d, o)
+				t.Fatalf("workers=%d round %d: digest %+v, delivered %+v", workers, i, d, o)
 			}
 		}
 	}
@@ -228,7 +241,8 @@ func TestCloseIdempotent(t *testing.T) {
 // shard, and checks that the pooled engine still runs the next lease
 // exactly like a fresh one.
 func TestInvalidLinkPanicsParallel(t *testing.T) {
-	nodes := []Node{&badNode{}, &badNode{}, &badNode{}, &badNode{}}
+	bad := sendNode{badLink}
+	nodes := []Node{bad, bad, bad, bad}
 	nw := NewNetwork(nodes, WithEngineWorkers(4))
 	defer nw.Close()
 	if recovered(nw.StepRound) == nil {

@@ -13,27 +13,28 @@ type Payload interface {
 	Bits() int
 }
 
-// ToAll is the shared-broadcast sentinel recipient: a single outbox entry
-// with To == ToAll fans out to every link in the network inside the
-// engine's counting-sort delivery. The payload is stored once by the
-// sender; metrics still account one wire message per recipient.
-const ToAll = -1
+// toSetBase anchors the shared-target encoding: To == toSetBase-id
+// addresses the set with id id in the engine's registry (see Sets), so
+// every To < 0 is a shared target and every To >= 0 an explicit link.
+const toSetBase = -1
 
-// toSetBase anchors the ToSet encoding: To == toSetBase-id addresses the
-// interned recipient set id (see Sets). ToAll keeps -1, so every To < 0
-// is a shared target and every To >= 0 an explicit link.
-const toSetBase = -2
-
-// ToSet encodes interned set id (from Sets.InternPhase) as a Message.To
+// ToSet encodes set id (from Sets.InternPhase) as a Message.To
 // recipient: a single outbox entry with To == ToSet(id) is a shared
 // multicast to every member of the set, billed as |set| wire messages and
-// delivered through the engine's shared-aggregate layer. Like ToAll, the
-// payload is stored once regardless of fan-out.
+// delivered through the engine's shared-aggregate layer. The payload is
+// stored once regardless of fan-out.
 func ToSet(id int) int { return toSetBase - id }
 
 // toSetID decodes a ToSet recipient back to its set id; only meaningful
 // when to <= toSetBase.
 func toSetID(to int) int { return toSetBase - to }
+
+// ToAll is the shared-broadcast recipient: the reserved set 0, which
+// every registry holds as the full link range 0..n-1. A single outbox
+// entry with To == ToAll reaches every link in the network; the sender
+// stores the payload once and metrics still account one wire message per
+// recipient.
+const ToAll = toSetBase // ToSet(0)
 
 // Message is a single point-to-point message in the synchronous network.
 // The From field is stamped by the network itself, which models message
@@ -58,9 +59,10 @@ type Outbox []Message
 // Broadcast emits p to every link in [0, n), the paper's "send via n
 // links" primitive (this includes the sender's own link, as in the
 // paper's complete-network model). n must be the network size; the
-// returned outbox holds a single ToAll entry that the engine fans out at
-// delivery, so a broadcast costs O(1) sender-side memory while still
-// being metered as n point-to-point messages on the wire.
+// returned outbox holds a single ToAll entry — a multicast to the
+// reserved full-range set — that the engine fans out at delivery, so a
+// broadcast costs O(1) sender-side memory while still being metered as n
+// point-to-point messages on the wire.
 func Broadcast(from, n int, p Payload) Outbox {
 	_ = n // fan-out width is the network size, resolved by the engine
 	return Outbox{{From: from, To: ToAll, Payload: p}}

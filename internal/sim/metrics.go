@@ -118,7 +118,7 @@ func (s *metricAcc) add(kind string, bits int, honest bool, limit int) {
 }
 
 // addN records count identical on-the-wire messages — the shared-broadcast
-// fast path, where one ToAll outbox entry becomes count wire messages of
+// fast path, where one shared outbox entry becomes count wire messages of
 // the same kind and size. Exactly equivalent to count consecutive add
 // calls, including the run-length cache interaction.
 func (s *metricAcc) addN(kind string, bits int, count int64, honest bool, limit int) {

@@ -74,14 +74,6 @@ func WithCongestLimit(bits int) Option {
 	return func(e *engine) { e.metrics.CongestLimit = bits }
 }
 
-// WithObserver installs a per-round callback invoked with the messages
-// that were put on the wire this round (post crash filtering), for
-// tracing and debugging. The slice is reused between rounds and must not
-// be retained.
-func WithObserver(observer func(round int, delivered []Message)) Option {
-	return func(e *engine) { e.observer = observer }
-}
-
 // RoundDigest is the rolled-up communication summary of one round, as
 // handed to a WithRoundDigest callback: totals only, never per-node
 // arrays, so streaming consumers stay O(1) in n.
@@ -99,10 +91,9 @@ type RoundDigest struct {
 }
 
 // WithRoundDigest installs a per-round callback invoked with the round's
-// rolled-up communication summary, after metrics are folded. Unlike
-// WithObserver it never materializes the round's delivered messages into
-// one flat slice, so it is the telemetry hook of choice at large n; see
-// docs/MEMORY.md.
+// rolled-up communication summary, after metrics are folded. It never
+// materializes the round's delivered messages, so it stays O(1) in n;
+// see docs/MEMORY.md.
 func WithRoundDigest(fn func(RoundDigest)) Option {
 	return func(e *engine) { e.digest = fn }
 }
@@ -118,7 +109,8 @@ func WithRoundEnd(fn func()) Option {
 // WithEagerMulticast disables the interned-set shared-multicast path:
 // the registry handed to nodes implementing SetUser declines every
 // InternPhase, so they emit explicit per-recipient Multicast messages
-// instead of ToSet entries.
+// instead of ToSet entries. It declines InternPhase only: the reserved
+// set 0 stays valid, so ToAll broadcasts keep their shared delivery.
 // Billing, delivered content and delivery order are identical either way
 // — the property tests pin exactly that — so this is a testing and
 // ablation knob, never a semantics knob.

@@ -12,6 +12,10 @@ import (
 // which the engine delivers as one shared aggregate segment instead of
 // |set| copies per sender.
 //
+// Set 0 is reserved: it is the full link range 0..n-1, the target of
+// ToAll broadcasts, installed by every reset and never declined.
+// InternPhase hands out ids from 1.
+//
 // Interning is keyed: InternPhase stores at most one canonical set per
 // key (first caller wins), and later callers whose membership differs —
 // typically because a mid-send crash filter dropped some of the
@@ -29,6 +33,7 @@ type Sets struct {
 	n       int
 	decline bool // WithEagerMulticast: every InternPhase declines
 	lists   [][]int32
+	all     []int32 // 0, 1, ...: set 0 is its length-n prefix
 	byKey   map[uint64]int32
 	scratch any
 }
@@ -43,14 +48,22 @@ type SetUser interface {
 	UseSets(s *Sets)
 }
 
-// reset clears the registry for a run over n nodes, keeping capacity;
-// decline makes every InternPhase of the run decline. The scratch slot
-// is dropped so a pooled engine's next lease cannot see a stale
+// reset clears the registry for a run over n nodes, keeping capacity,
+// and installs the full range as set 0; decline makes every InternPhase
+// of the run decline. The range list is allocated at the largest n seen
+// and its prefix reused, so pooled leases never rebuild it. The scratch
+// slot is dropped so a pooled engine's next lease cannot see a stale
 // aggregate keyed on recycled slab memory.
 func (s *Sets) reset(n int, decline bool) {
 	s.n = n
 	s.decline = decline
-	s.lists = s.lists[:0]
+	if len(s.all) < n {
+		s.all = make([]int32, n)
+		for i := range s.all {
+			s.all[i] = int32(i)
+		}
+	}
+	s.lists = append(s.lists[:0], s.all[:n:n])
 	if s.byKey == nil {
 		s.byKey = make(map[uint64]int32)
 	} else {
@@ -80,7 +93,8 @@ func (s *Sets) Scratch(mk func() any) any {
 // against it and receives ok == false on any difference, in which case
 // it must send an explicit Multicast instead. Members must be strictly
 // ascending link indices; an empty slice is never interned, and nothing
-// is under WithEagerMulticast.
+// is under WithEagerMulticast. Ids start at 1 (set 0 is the reserved
+// full range).
 func (s *Sets) InternPhase(key uint64, members []int) (int, bool) {
 	if len(members) == 0 || s.decline {
 		return 0, false
@@ -126,7 +140,8 @@ func (s *Sets) membersOf(id int) []int32 {
 	return s.lists[id]
 }
 
-// valid reports whether id names an interned set.
+// valid reports whether id names a set: the reserved full range or an
+// interned one.
 func (s *Sets) valid(id int) bool {
 	return s != nil && id >= 0 && id < len(s.lists)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -188,38 +189,65 @@ func TestRunRoundLimit(t *testing.T) {
 	}
 }
 
-func TestObserver(t *testing.T) {
+func TestDeliveredStream(t *testing.T) {
 	_, simNodes := buildEcho(3, 0)
+	nw := NewNetwork(simNodes)
 	var observed []int
-	nw := NewNetwork(simNodes, WithObserver(func(round int, delivered []Message) {
+	for nw.Round() < 10 && !nw.allHalted() {
+		delivered := stepDelivered(nw, nil)
+		if nw.Round() == 1 {
+			// Round 0's broadcasts, recipient-major and sender-ordered.
+			for k, msg := range delivered {
+				if msg.To != k/3 || msg.From != k%3 {
+					t.Fatalf("round 0 stream %v out of order at %d", delivered, k)
+				}
+			}
+		}
 		observed = append(observed, len(delivered))
-	}))
-	if err := nw.Run(10); err != nil {
-		t.Fatal(err)
 	}
 	if len(observed) == 0 || observed[0] != 9 {
 		t.Fatalf("observed = %v", observed)
 	}
 }
 
+// TestInvalidLinkPanics checks that every way of addressing a link or
+// set that does not exist panics on the StepRound caller with the
+// engine's own message: an explicit link out of range, and ToSet(99) —
+// no set backs it — sent alone, inside a mixed outbox, by a mid-send
+// crasher, and to a network with a rushing previewer.
 func TestInvalidLinkPanics(t *testing.T) {
-	bad := &badNode{}
-	nw := NewNetwork([]Node{bad})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for invalid link")
+	unknown := Message{To: ToSet(99), Payload: pingPayload{size: 1}}
+	mixed := Outbox{{To: 0, Payload: pingPayload{size: 1}}, unknown}
+	midSend := &Scheduled{orders: map[int][]CrashOrder{0: {{Node: 0, Filter: keepAll}}}}
+	for _, tc := range []struct {
+		name  string
+		nodes []Node
+		opts  []Option
+	}{
+		{"explicit link", []Node{sendNode{badLink}}, nil},
+		{"lone set", []Node{sendNode{unknown}, sendNode{}}, nil},
+		{"mixed outbox", []Node{sendNode(mixed), sendNode{}}, nil},
+		{"mid-send crasher", []Node{sendNode{unknown}, sendNode{}}, []Option{WithCrashAdversary(midSend)}},
+		{"rushing previewer", []Node{sendNode{unknown}, sendNode{}}, []Option{WithRushing([]int{1})}},
+	} {
+		nw := NewNetwork(tc.nodes, tc.opts...)
+		p := recovered(nw.StepRound)
+		nw.Close()
+		if msg, ok := p.(string); !ok || !strings.HasPrefix(msg, "sim: ") {
+			t.Errorf("%s: StepRound panicked with %v, want the engine's invalid-target panic", tc.name, p)
 		}
-	}()
-	nw.StepRound()
+	}
 }
 
-type badNode struct{}
+// sendNode sends the same outbox every round.
+type sendNode Outbox
 
-func (*badNode) Step(int, []Message) Outbox {
-	return Outbox{{To: 99, Payload: pingPayload{size: 1}}}
-}
-func (*badNode) Output() (int, bool) { return 0, false }
-func (*badNode) Halted() bool        { return false }
+func (s sendNode) Step(int, []Message) Outbox { return Outbox(s) }
+func (sendNode) Output() (int, bool)          { return 0, false }
+func (sendNode) Halted() bool                 { return false }
+
+// badLink addresses link 99, outside every test network.
+var badLink = Message{To: 99, Payload: pingPayload{size: 1}}
 
 func TestDeriveSeedStreamsDiffer(t *testing.T) {
 	seen := make(map[int64]bool)

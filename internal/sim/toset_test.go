@@ -73,8 +73,10 @@ func (c *castNode) Halted() bool        { return c.round > c.sendFor+1 }
 // shared-aggregate code path: zero-copy binds (recipients covered by one
 // set and nothing else), k-way merges (recipients in overlapping sets,
 // explicit unicasts on top, periodic ToAll rounds), mixed outbox
-// pre-expansion, mid-send crash filtering of a ToSet sender, and a
-// rushing Byzantine previewer inside a target set.
+// pre-expansion, mid-send crash filtering of a ToSet sender, and
+// rushing Byzantine previewers inside target sets — reached through
+// both preview walks: over the members of a set no larger than the
+// rushing list, and over the rushing list for larger sets and ToAll.
 func runCastFleet(t *testing.T, workers int, eager bool) (string, int64, int64) {
 	t.Helper()
 	const n = 12
@@ -88,8 +90,11 @@ func runCastFleet(t *testing.T, workers int, eager bool) (string, int64, int64) 
 	// to {5,8,9}. Node 5 sits in both sets (merge); nodes 4 and 6 are
 	// covered by A alone (bind on ToAll-free rounds); node 7 unicasts
 	// into the overlap; node 8 broadcasts every third round (classify
-	// everyone); node 10 emits the mixed ToSet+ToAll outbox; node 9 is a
-	// rushing Byzantine member of set B.
+	// everyone); node 10 emits the mixed ToSet+ToAll outbox; nodes 1 and
+	// 9 are rushing Byzantine members of node 10's two-member set {0,1}
+	// and of set B. Two rushers make {0,1} no larger than the rushing
+	// list, while sets A and B and ToAll are larger; node 1 also
+	// crashes mid-send as a rusher.
 	for i := 0; i <= 3; i++ {
 		nodes[i].setKey, nodes[i].members = 1, []int{4, 5, 6}
 	}
@@ -110,8 +115,8 @@ func runCastFleet(t *testing.T, workers int, eager bool) (string, int64, int64) 
 	}}
 	opts := []Option{
 		WithCrashAdversary(adv),
-		WithByzantine([]int{9}),
-		WithRushing([]int{9}),
+		WithByzantine([]int{1, 9}),
+		WithRushing([]int{1, 9}),
 		WithEngineWorkers(workers),
 	}
 	if eager {
