@@ -93,21 +93,17 @@ func run() (int, error) {
 		PoolProb:       *poolProb,
 		Workers:        *workers,
 	}
-	switch spec.Algo {
-	case campaign.AlgoCrash, campaign.AlgoByzantine, campaign.AlgoBaselineA2A, campaign.AlgoService:
-	default:
-		return 0, fmt.Errorf("unknown algo %q", *algo)
+	// Validate before -out creates its file, so a bad spec leaves none.
+	norm, err := spec.Normalized()
+	if err != nil {
+		return 0, err
 	}
 	if *roundCeil > 0 {
 		// An explicit ceiling replaces the default oracle with a
 		// crash-style expectation pinned to it — the "deliberately broken
 		// oracle" path used to demonstrate violation detection end-to-end.
-		// Normalize first so the BudgetDefault sentinel and BigN default
-		// resolve before they parameterize the expectation.
-		norm, err := spec.Normalized()
-		if err != nil {
-			return 0, err
-		}
+		// The normalized spec has the BudgetDefault sentinel and BigN
+		// default resolved before they parameterize the expectation.
 		expect := campaign.CrashExpectation(norm.N)
 		if norm.Algo == campaign.AlgoByzantine {
 			expect = campaign.ByzantineExpectation(norm.BigN, norm.Budget)

@@ -54,22 +54,24 @@ func TestMidSendFilterStableUnderEventRemoval(t *testing.T) {
 	}
 }
 
-// TestMidSendFilterLegacyIndexFallback: events without a Salt (legacy
-// pre-Salt artifacts) must keep the historical index-keyed stream, so
-// old reproducers replay bit-identically.
+// TestMidSendFilterLegacyIndexFallback: no index-keyed fallback
+// remains. A Salt == 0 mid-send event (what an omitted "salt" key
+// decodes to) gets the same filter at slice index 0 and at index 1, and
+// that filter is the salted stream keyed by zero.
 func TestMidSendFilterLegacyIndexFallback(t *testing.T) {
 	const n, seed = 32, int64(7)
-	sched := &EventSchedule{Seed: seed, Events: []Event{
-		{Round: 0, Node: 1, MidSend: true},
-		{Round: 1, Node: 2, MidSend: true},
-	}}
-	got := filterChoices(t, orderFor(t, sched, viewFor(n, 1, nil)).Filter, n)
-	// The legacy stream for slice index 1, reproduced from first
-	// principles.
-	want := filterChoices(t, randomHalfFilter(sim.NewRand(seed, scheduleLabel^uint64(1)<<8)), n)
+	unsalted := Event{Round: 1, Node: 2, MidSend: true}
+	first := &EventSchedule{Seed: seed, Events: []Event{unsalted}}
+	second := &EventSchedule{Seed: seed, Events: []Event{{Round: 0, Node: 1, MidSend: true}, unsalted}}
+
+	view := viewFor(n, 1, nil)
+	atZero := filterChoices(t, orderFor(t, first, view).Filter, n)
+	atOne := filterChoices(t, orderFor(t, second, view).Filter, n)
+	want := filterChoices(t, randomHalfFilter(sim.NewRand(seed, saltLabel)), n)
 	for to := range want {
-		if want[to] != got[to] {
-			t.Fatalf("recipient %d: legacy filter diverged from the index-keyed stream", to)
+		if atZero[to] != want[to] || atOne[to] != want[to] {
+			t.Fatalf("recipient %d: unsalted filter depends on slice index (index 0: %v, index 1: %v, salt stream: %v)",
+				to, atZero[to], atOne[to], want[to])
 		}
 	}
 }

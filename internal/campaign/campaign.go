@@ -95,8 +95,12 @@ func (s Spec) withDefaults() (Spec, error) {
 	if s.Executions <= 0 {
 		return s, fmt.Errorf("campaign: executions must be positive, got %d", s.Executions)
 	}
-	if s.Algo == "" {
+	switch s.Algo {
+	case "":
 		s.Algo = AlgoCrash
+	case AlgoCrash, AlgoByzantine, AlgoBaselineA2A, AlgoService:
+	default:
+		return s, fmt.Errorf("campaign: unknown algo %q", s.Algo)
 	}
 	if s.Generator == "" {
 		switch s.Algo {

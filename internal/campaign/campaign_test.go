@@ -237,8 +237,8 @@ func TestCampaignZeroFaultBudget(t *testing.T) {
 	}
 }
 
-// TestSpecValidation rejects mismatched generator/algo pairs and bad
-// sizes.
+// TestSpecValidation rejects unknown algos, mismatched generator/algo
+// pairs and bad sizes.
 func TestSpecValidation(t *testing.T) {
 	cases := []Spec{
 		{Algo: AlgoCrash, N: 0, Executions: 1},
@@ -247,10 +247,18 @@ func TestSpecValidation(t *testing.T) {
 		{Algo: AlgoByzantine, N: 32, Executions: 1, Generator: GenMixed},
 		{Algo: AlgoCrash, N: 32, Executions: 1, Budget: 32},
 		{Algo: AlgoCrash, N: 32, Executions: 1, Budget: -2},
+		{Algo: "crsh", N: 32, Executions: 1},
 	}
 	for i, spec := range cases {
 		if _, err := spec.withDefaults(); err == nil {
 			t.Fatalf("case %d: expected validation error for %+v", i, spec)
 		}
+	}
+	// An artifact naming an unknown algo must not replay as some other
+	// algorithm.
+	typo := &ReproArtifact{Version: ArtifactVersion, Algo: "crsh", N: 32, BigN: 512, Seed: 1,
+		Invariant: InvUniqueness, Strategy: Strategy{Generator: GenMixed}}
+	if _, _, err := typo.Replay(); err == nil {
+		t.Fatal("artifact with unknown algo replayed without error")
 	}
 }

@@ -59,84 +59,70 @@ func ddmin[T any](items []T, keep func([]T) (bool, error)) ([]T, error) {
 	return current, nil
 }
 
-// ShrinkSchedule minimizes a crash schedule with respect to fails:
-// first delta-debugs the event list down to a locally minimal subset,
-// then simplifies surviving events (drops mid-send filters, grounds
-// rounds to 0) where the failure persists. The result still fails.
-func ShrinkSchedule(strat Strategy, fails Fails) (Strategy, error) {
-	withSchedule := func(events []adversary.Event) Strategy {
-		s := strat
-		s.Schedule = events
-		return s
-	}
-	events, err := ddmin(strat.Schedule, func(candidate []adversary.Event) (bool, error) {
-		return fails(withSchedule(candidate))
-	})
+// shrinkEvents minimizes a crash-event list with respect to keep:
+// first delta-debugs the list down to a locally minimal subset, then
+// simplifies surviving events field-by-field (drops mid-send filters,
+// grounds rounds to 0) where the failure persists. event exposes the
+// adversary.Event inside one item; fields outside it are never touched.
+func shrinkEvents[T comparable](items []T, event func(*T) *adversary.Event, keep func([]T) (bool, error)) ([]T, error) {
+	items, err := ddmin(items, keep)
 	if err != nil {
-		return Strategy{}, err
+		return nil, err
 	}
-	// Attribute simplification: each surviving event is reduced
-	// field-by-field when the reduction preserves the failure.
-	for i := range events {
+	for i := range items {
 		for _, simplify := range []func(*adversary.Event){
 			func(ev *adversary.Event) { ev.MidSend = false },
 			func(ev *adversary.Event) { ev.Round = 0 },
 		} {
-			candidate := append([]adversary.Event(nil), events...)
-			simplify(&candidate[i])
-			if candidate[i] == events[i] {
+			candidate := append([]T(nil), items...)
+			simplify(event(&candidate[i]))
+			if candidate[i] == items[i] {
 				continue
 			}
-			ok, err := fails(withSchedule(candidate))
+			ok, err := keep(candidate)
 			if err != nil {
-				return Strategy{}, err
+				return nil, err
 			}
 			if ok {
-				events = candidate
+				items = candidate
 			}
 		}
 	}
-	return withSchedule(events), nil
+	return items, nil
 }
 
-// ShrinkChurn minimizes an epoch-keyed churn schedule with respect to
-// fails: delta-debugs the event list, then simplifies surviving events
-// (drops mid-send filters, grounds rounds to 0) where the failure
-// persists. The epoch key is never touched — moving an event across
-// epochs would change which one-shot run it lands in, i.e. produce a
-// different strategy rather than a smaller one.
-func ShrinkChurn(strat Strategy, fails Fails) (Strategy, error) {
-	withChurn := func(events []ChurnEvent) Strategy {
-		s := strat
-		s.Churn = events
-		return s
-	}
-	events, err := ddmin(strat.Churn, func(candidate []ChurnEvent) (bool, error) {
-		return fails(withChurn(candidate))
-	})
+// ShrinkSchedule minimizes a crash schedule with respect to fails (see
+// shrinkEvents). The result still fails.
+func ShrinkSchedule(strat Strategy, fails Fails) (Strategy, error) {
+	events, err := shrinkEvents(strat.Schedule, func(ev *adversary.Event) *adversary.Event { return ev },
+		func(candidate []adversary.Event) (bool, error) {
+			s := strat
+			s.Schedule = candidate
+			return fails(s)
+		})
 	if err != nil {
 		return Strategy{}, err
 	}
-	for i := range events {
-		for _, simplify := range []func(*ChurnEvent){
-			func(ev *ChurnEvent) { ev.MidSend = false },
-			func(ev *ChurnEvent) { ev.Round = 0 },
-		} {
-			candidate := append([]ChurnEvent(nil), events...)
-			simplify(&candidate[i])
-			if candidate[i] == events[i] {
-				continue
-			}
-			ok, err := fails(withChurn(candidate))
-			if err != nil {
-				return Strategy{}, err
-			}
-			if ok {
-				events = candidate
-			}
-		}
+	strat.Schedule = events
+	return strat, nil
+}
+
+// ShrinkChurn minimizes an epoch-keyed churn schedule with respect to
+// fails (see shrinkEvents). The epoch key is never touched — moving an
+// event across epochs would change which one-shot run it lands in, i.e.
+// produce a different strategy rather than a smaller one.
+func ShrinkChurn(strat Strategy, fails Fails) (Strategy, error) {
+	events, err := shrinkEvents(strat.Churn, func(ev *ChurnEvent) *adversary.Event { return &ev.Event },
+		func(candidate []ChurnEvent) (bool, error) {
+			s := strat
+			s.Churn = candidate
+			return fails(s)
+		})
+	if err != nil {
+		return Strategy{}, err
 	}
-	return withChurn(events), nil
+	strat.Churn = events
+	return strat, nil
 }
 
 // ShrinkByzantine minimizes a Byzantine assignment with respect to
@@ -154,19 +140,19 @@ func ShrinkByzantine(strat Strategy, fails Fails) (Strategy, error) {
 	return strat, nil
 }
 
-// ArtifactVersion is the current replayable-artifact format. Version 2
-// added the per-event salt (the stable mid-send filter identity of
-// adversary.Event.Salt); an absent or ≤ 1 version marks a legacy
-// artifact whose saltless events replay through the historical
-// index-keyed filter stream, bit-identically to the release that wrote
-// them.
+// ArtifactVersion is the replayable-artifact format, and the only one
+// LoadArtifact accepts. Version 2 added the per-event salt (the stable
+// mid-send filter identity of adversary.Event.Salt). Older artifacts
+// keyed filters by slice index, a stream this build no longer has, so
+// they are rejected and must be regenerated.
 const ArtifactVersion = 2
 
 // ReproArtifact is a minimal, replayable reproducer for one violation:
 // everything needed to re-execute the offending run from scratch.
 type ReproArtifact struct {
-	// Version is the artifact format version (see ArtifactVersion);
-	// zero in artifacts written before versioning existed.
+	// Version is the artifact format version; LoadArtifact rejects any
+	// other than ArtifactVersion (zero means the key was absent, as in
+	// artifacts written before versioning existed).
 	Version int `json:"version,omitempty"`
 	// Algo, N, BigN, Seed, CommitteeScale, PoolProb reconstruct the
 	// execution configuration.
@@ -361,8 +347,10 @@ func LoadArtifact(path string) (*ReproArtifact, error) {
 	if a.N <= 0 {
 		return nil, fmt.Errorf("campaign: artifact %s: missing n", path)
 	}
-	if a.Version > ArtifactVersion {
-		return nil, fmt.Errorf("campaign: artifact %s: format version %d is newer than this build's %d", path, a.Version, ArtifactVersion)
+	if a.Version != ArtifactVersion {
+		// Older formats keyed mid-send filters by slice index, a stream
+		// this build no longer has; newer ones it cannot read.
+		return nil, fmt.Errorf("campaign: artifact %s: format version %d, this build reads only version %d; regenerate the artifact", path, a.Version, ArtifactVersion)
 	}
 	return &a, nil
 }

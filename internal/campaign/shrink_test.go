@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"renaming/internal/adversary"
@@ -145,10 +147,10 @@ func TestBrokenOracleDetectShrinkReplay(t *testing.T) {
 }
 
 // TestArtifactVersionAndLegacyReplay: new artifacts carry the current
-// format version; a pre-versioning artifact — no version field, salt-
-// less mid-send events — still loads and replays (the schedule falls
-// back to the historical index-keyed filter stream), and an artifact
-// from a future format is rejected instead of being misread.
+// format version; artifacts with no version field or version 1 (whose
+// salt-less mid-send events used the deleted index-keyed filter stream)
+// are rejected with an error naming the version, and an artifact from
+// a future format is rejected instead of being misread.
 func TestArtifactVersionAndLegacyReplay(t *testing.T) {
 	broken := CrashExpectation(32)
 	broken.RoundCeiling = 1
@@ -168,11 +170,10 @@ func TestArtifactVersionAndLegacyReplay(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	legacy := filepath.Join(dir, "legacy.json")
-	// A hand-rolled pre-Salt artifact: note the mid-send events carry no
-	// "salt" key — exactly what older releases wrote.
-	if err := os.WriteFile(legacy, []byte(`{
-		"algo": "crash", "n": 32, "N": 512, "seed": 99,
+	// Hand-rolled artifacts whose mid-send events carry no "salt" key —
+	// exactly what pre-Salt releases wrote — under an absent, an old and
+	// a future format version.
+	const legacyBody = `"algo": "crash", "n": 32, "N": 512, "seed": 99,
 		"invariant": "round-ceiling", "detail": "legacy fixture",
 		"strategy": {
 			"generator": "trickle",
@@ -181,39 +182,26 @@ func TestArtifactVersionAndLegacyReplay(t *testing.T) {
 				{"round": 6, "node": 11, "midSend": true}
 			],
 			"scheduleSeed": 1234
+		}`
+	for _, tc := range []struct {
+		name, version string
+		want          int
+	}{
+		{"unversioned", "", 0},
+		{"v1", `"version": 1,`, 1},
+		{"future", `"version": 99,`, 99},
+	} {
+		path := filepath.Join(dir, tc.name+".json")
+		if err := os.WriteFile(path, []byte("{"+tc.version+legacyBody+"}"), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadArtifact(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Version != 0 {
-		t.Fatalf("legacy artifact reports version %d, want 0", loaded.Version)
-	}
-	for _, ev := range loaded.Strategy.Schedule {
-		if ev.Salt != 0 {
-			t.Fatalf("legacy event grew a salt: %+v", ev)
+		_, err := LoadArtifact(path)
+		if err == nil {
+			t.Fatalf("%s artifact accepted", tc.name)
 		}
-	}
-	res, viols, err := loaded.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(viols) != 0 {
-		t.Fatalf("legacy replay violated the oracle: %+v", viols)
-	}
-	if !res.Unique || res.Crashes != 2 {
-		t.Fatalf("legacy replay wrong: unique=%v crashes=%d, want true/2", res.Unique, res.Crashes)
-	}
-
-	future := filepath.Join(dir, "future.json")
-	if err := os.WriteFile(future, []byte(`{"version": 99, "algo": "crash", "n": 32, "N": 512, "seed": 1, "invariant": "uniqueness", "strategy": {"generator": "mixed"}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadArtifact(future); err == nil {
-		t.Fatal("future-format artifact accepted")
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", tc.want)) || !strings.Contains(msg, "regenerate") {
+			t.Fatalf("%s artifact: error %q does not name version %d and ask for regeneration", tc.name, msg, tc.want)
+		}
 	}
 }
 

@@ -117,34 +117,3 @@ func (fl *FreeList) UndoPush(prev int32) {
 	fl.tail--
 	fl.slots[fl.tail] = prev
 }
-
-// FreeListCheckpoint is a full snapshot of a FreeList, sufficient to
-// restore the exact pre-epoch state (slot contents included — an epoch
-// overwrites slots behind the tail as leavers release names).
-type FreeListCheckpoint struct {
-	slots     []int32
-	head      int
-	tail      int
-	headPhase uint8
-	tailPhase uint8
-}
-
-// Checkpoint snapshots the list.
-func (fl *FreeList) Checkpoint() FreeListCheckpoint {
-	return FreeListCheckpoint{
-		slots:     append([]int32(nil), fl.slots...),
-		head:      fl.head,
-		tail:      fl.tail,
-		headPhase: fl.headPhase,
-		tailPhase: fl.tailPhase,
-	}
-}
-
-// Restore rewinds the list to a checkpoint taken on the same list.
-func (fl *FreeList) Restore(cp FreeListCheckpoint) {
-	copy(fl.slots, cp.slots)
-	fl.head = cp.head
-	fl.tail = cp.tail
-	fl.headPhase = cp.headPhase
-	fl.tailPhase = cp.tailPhase
-}

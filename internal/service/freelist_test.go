@@ -135,9 +135,10 @@ func TestFreeListNoDoubleHandOut(t *testing.T) {
 	}
 }
 
-// TestFreeListCheckpointRestore checks Restore rewinds to the exact
-// pre-checkpoint state: the post-restore pop sequence matches the one
-// observed right after the checkpoint, no matter what ran in between.
+// TestFreeListCheckpointRestore checks UndoPop/UndoPush rewind to the
+// exact pre-scramble state: the drain order after undoing a 300-op
+// scramble that runs past a wrap equals the drain order observed before
+// it.
 func TestFreeListCheckpointRestore(t *testing.T) {
 	const capacity = 9
 	fl, err := NewFreeList(capacity)
@@ -146,39 +147,69 @@ func TestFreeListCheckpointRestore(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	var held []int
+	// undo journals each op since the last rewind: popMark for a Pop,
+	// otherwise the before-image a Push overwrote.
+	const popMark = -1
+	var undo []int32
+	pop := func() (int, bool) {
+		name, ok := fl.Pop()
+		if ok {
+			undo = append(undo, popMark)
+		}
+		return name, ok
+	}
+	rewind := func() {
+		for i := len(undo) - 1; i >= 0; i-- {
+			if undo[i] == popMark {
+				fl.UndoPop()
+			} else {
+				fl.UndoPush(undo[i])
+			}
+		}
+		undo = undo[:0]
+	}
 	scramble := func(ops int) {
 		for op := 0; op < ops; op++ {
 			if rng.Intn(2) == 0 {
-				if name, ok := fl.Pop(); ok {
+				if name, ok := pop(); ok {
 					held = append(held, name)
 				}
 			} else if len(held) > 0 {
 				name := held[len(held)-1]
 				held = held[:len(held)-1]
+				prev := fl.TailSlot()
 				if err := fl.Push(name); err != nil {
 					t.Fatalf("push %d: %v", name, err)
 				}
+				undo = append(undo, prev)
 			}
 		}
 	}
 	scramble(100)
+	undo = undo[:0]
 
-	cp := fl.Checkpoint()
-	want := drain(fl)
-	fl.Restore(cp)
+	var want []int
+	for {
+		name, ok := pop()
+		if !ok {
+			break
+		}
+		want = append(want, name)
+	}
+	rewind()
 
 	// Mutate aggressively past a wrap, then rewind.
 	heldMark := len(held)
 	scramble(300)
 	held = held[:heldMark]
-	fl.Restore(cp)
+	rewind()
 
 	if got := drain(fl); len(got) != len(want) {
-		t.Fatalf("post-restore drain has %d names, want %d", len(got), len(want))
+		t.Fatalf("post-rewind drain has %d names, want %d", len(got), len(want))
 	} else {
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("post-restore drain[%d] = %d, want %d", i, got[i], want[i])
+				t.Fatalf("post-rewind drain[%d] = %d, want %d", i, got[i], want[i])
 			}
 		}
 	}
@@ -241,9 +272,14 @@ func FuzzFreeList(f *testing.F) {
 // TestFreeListUndoExact drives random push/pop bursts across multiple
 // wrap-arounds, journaling each op's before-image, then undoes every
 // burst in reverse and requires the full list state — slots, cursors,
-// phase bits — to match a checkpoint taken before the burst. This is the
+// phase bits — to match a deep copy taken before the burst. This is the
 // free-list half of the undo journal's exactness contract.
 func TestFreeListUndoExact(t *testing.T) {
+	clone := func(fl *FreeList) FreeList {
+		c := *fl
+		c.slots = append([]int32(nil), fl.slots...)
+		return c
+	}
 	for _, capacity := range []int{1, 2, 3, 7, 16} {
 		fl, err := NewFreeList(capacity)
 		if err != nil {
@@ -255,7 +291,7 @@ func TestFreeListUndoExact(t *testing.T) {
 			prev int32
 		}
 		for burst := 0; burst < 50; burst++ {
-			before := fl.Checkpoint()
+			before := clone(fl)
 			var ops []undo
 			for step := 0; step < rng.Intn(2*capacity+2); step++ {
 				if rng.Intn(2) == 0 {
@@ -280,7 +316,7 @@ func TestFreeListUndoExact(t *testing.T) {
 					fl.UndoPush(ops[i].prev)
 				}
 			}
-			after := fl.Checkpoint()
+			after := clone(fl)
 			if !reflect.DeepEqual(before, after) {
 				t.Fatalf("capacity %d burst %d: undo did not restore the list: %+v -> %+v", capacity, burst, before, after)
 			}

@@ -1,20 +1,19 @@
 package service
 
-// The undo journal is the service's O(touched) rollback mechanism. An
-// epoch that edits k entries appends k before-image records; commit is
-// truncation, abort replays the records in reverse. It replaces the
-// full-snapshot checkpoint that copied the owner array, the names map,
-// the live view, and the free-list slots every epoch — O(Capacity) work
-// that dominated per-epoch cost at large namespaces (at Capacity 2^20
-// the copies alone were ~12 MB/epoch). The snapshot implementation is
-// retained (takeCheckpoint/restore) as the model the differential
-// property tests run in lockstep with the journal.
+// The undo journal is the service's rollback mechanism. An epoch that
+// edits k entries appends k before-image records; commit is truncation,
+// abort replays the records in reverse. Its cost is O(touched), not
+// O(Capacity): a full-snapshot checkpoint of the owner array, the names
+// map, the live view and the free-list slots would copy ~12 MB per epoch
+// at Capacity 2^20. The differential tests check the journal against
+// such a snapshot: after an aborted epoch the state must equal a capture
+// taken before the epoch began.
 //
-// Deliberately NOT journaled, mirroring what the snapshot rollback
-// restored: the uses[] grant counters and totalRecycled keep their
-// increments across an abort (a name handed out by a run that was later
-// rolled back has still been observed by clients, so its next grant is
-// still a recycle), and the epoch counter stays advanced.
+// Deliberately NOT journaled: the uses[] grant counters and
+// totalRecycled keep their increments across an abort (a name handed
+// out by a run that was later rolled back has still been observed by
+// clients, so its next grant is still a recycle), and the epoch counter
+// stays advanced.
 
 // opKind tags one journal record with the mutation it undoes.
 type opKind uint8
@@ -57,9 +56,10 @@ func (j *journal) record(kind opKind, a, b int) {
 }
 
 // rollbackJournal replays the epoch's journal in reverse, applying the
-// inverse of each recorded mutation. Afterwards the service state is
-// bit-exactly the pre-epoch state (the differential tests compare every
-// field against the full-snapshot model, aborted epochs included).
+// inverse of each recorded mutation. Afterwards every journaled field is
+// bit-exactly its pre-epoch value (the differential tests compare the
+// whole state against a pre-epoch capture, modulo the unjournaled
+// counters above).
 func (s *Service) rollbackJournal() {
 	for i := len(s.jnl.ops) - 1; i >= 0; i-- {
 		op := s.jnl.ops[i]
