@@ -16,6 +16,7 @@ ci:
 	$(GO) test -race ./internal/sim ./internal/service ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzAbsorbNew$$' -fuzztime 15s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalVsSnapshot$$' -fuzztime 15s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineVsReference$$' -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -bench StepRound -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench 'MidSendCompaction|LazyRandDraw' -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench MidSendFilter -benchtime 1x ./internal/adversary

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"renaming/internal/campaign"
@@ -32,10 +33,21 @@ import (
 func main() {
 	code, err := run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(2)
 	}
 	os.Exit(code)
+}
+
+// errorLine is err as the CLI prints it, with exactly one "campaign: "
+// prefix: internal/campaign prefixes its own errors, while the others
+// (files, profiles) get it here.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "campaign: ") {
+		return msg
+	}
+	return "campaign: " + msg
 }
 
 func run() (int, error) {

@@ -502,12 +502,12 @@ func (pl *committeePlan) compute(codec *crashCodec, cfg CrashConfig, n int, inbo
 		}
 	}
 	if needBot {
-		root := interval.Full(n)
-		nonTree := false
-	walk:
+		// Statuses come from honest CrashNodes, whose intervals are
+		// vertices of the halving tree over [1, n], so each group's root
+		// path descends through bot() or top() until it reaches g.iv.
 		for i := range groups {
 			g := &groups[i]
-			cur := root
+			cur := interval.Full(n)
 			for {
 				if c, ok := botAcc[cur]; ok {
 					botAcc[cur] = c + int(g.count)
@@ -517,29 +517,8 @@ func (pl *committeePlan) compute(codec *crashCodec, cfg CrashConfig, n int, inbo
 				}
 				if b := cur.Bot(); b.Contains(g.iv) {
 					cur = b
-					continue
-				}
-				if t := cur.Top(); t.Contains(g.iv) {
-					cur = t
-					continue
-				}
-				// g.iv is not a vertex of the halving tree — impossible
-				// for statuses produced by this algorithm, but fall back
-				// to the exact quadratic count rather than miscount.
-				nonTree = true
-				break walk
-			}
-		}
-		if nonTree {
-			for k := range botAcc {
-				botAcc[k] = 0
-			}
-			for i := range groups {
-				g := &groups[i]
-				for k := range botAcc {
-					if k.Contains(g.iv) {
-						botAcc[k] += int(g.count)
-					}
+				} else {
+					cur = cur.Top()
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"renaming/internal/adversary"
+	"renaming/internal/interval"
 	"renaming/internal/sim"
 )
 
@@ -40,16 +41,24 @@ func snapshot(nw *sim.Network, nodes []*CrashNode) phaseSnapshot {
 
 // stepPhases drives a crash execution phase by phase, calling check after
 // every completed phase (i.e. after the NodeAction of the next phase's
-// first round has run).
+// first round has run). After every phase it also requires each alive
+// node's interval to be a vertex of the halving tree over [1, n], which
+// committeePlan's bot() occupancy walk relies on.
 func stepPhases(t *testing.T, cfg CrashConfig, adv sim.CrashAdversary, check func(phase int, s phaseSnapshot)) {
 	t.Helper()
 	nw, nodes := buildCrashRun(t, cfg, adv)
+	root := interval.Full(len(nodes))
 	total := cfg.TotalRounds()
 	for round := 0; round < total; round++ {
 		nw.StepRound()
 		// NodeAction for phase k runs in round 3(k+1); after stepping
 		// that round, phase k is fully processed.
 		if round%3 == 0 && round > 0 {
+			for i, node := range nodes {
+				if iv, _, _ := node.State(); nw.Alive(i) && !iv.InTree(root) {
+					t.Fatalf("phase %d: node %d holds %v, not a vertex of the halving tree over %v", round/3-1, i, iv, root)
+				}
+			}
 			check(round/3-1, snapshot(nw, nodes))
 		}
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -43,10 +44,13 @@ type svcState struct {
 	Aborts   int64
 }
 
+// namesOf copies the committed client → name mapping.
+func namesOf(s *Service) map[int]int { return maps.Clone(s.names) }
+
 func captureState(s *Service) svcState {
 	return svcState{
 		Owner:    append([]int32(nil), s.owner...),
-		Names:    s.Snapshot(),
+		Names:    namesOf(s),
 		Live:     append([]int(nil), s.LiveClients()...),
 		Uses:     append([]uint32(nil), s.uses...),
 		Slots:    append([]int32(nil), s.free.slots...),

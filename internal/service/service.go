@@ -298,18 +298,6 @@ func (s *Service) NameOf(client int) (int, bool) {
 	return name, ok
 }
 
-// Snapshot returns a copy of the committed client → name mapping. It is
-// O(live) — a caller/oracle convenience for state comparison, not a
-// hot-path helper: the service itself never snapshots (rollback is the
-// O(touched) undo journal, see journal.go).
-func (s *Service) Snapshot() map[int]int {
-	out := make(map[int]int, len(s.names))
-	for c, n := range s.names {
-		out[c] = n
-	}
-	return out
-}
-
 // Recycled returns the cumulative count of recycled grants.
 func (s *Service) Recycled() int64 { return s.totalRecycled }
 

@@ -70,7 +70,7 @@ func TestServiceValidationLeavesStateUntouched(t *testing.T) {
 	if _, err := svc.RunEpoch([]Client{{ID: 5}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	before := svc.Snapshot()
+	before := namesOf(svc)
 	epoch := svc.Epoch()
 
 	cases := []struct {
@@ -93,7 +93,7 @@ func TestServiceValidationLeavesStateUntouched(t *testing.T) {
 	if svc.Epoch() != epoch {
 		t.Errorf("validation errors advanced the epoch counter to %d", svc.Epoch())
 	}
-	if got := svc.Snapshot(); !reflect.DeepEqual(got, before) {
+	if got := namesOf(svc); !reflect.DeepEqual(got, before) {
 		t.Errorf("validation errors mutated the mapping: %v → %v", before, got)
 	}
 }
@@ -136,7 +136,7 @@ func TestServiceRollbackExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantMap := svc.Snapshot()
+	wantMap := namesOf(svc)
 	wantLive := append([]int(nil), svc.LiveClients()...)
 	wantFree := append([]int32(nil), svc.free.slots...)
 	wantHead, wantTail := svc.free.head, svc.free.tail
@@ -159,7 +159,7 @@ func TestServiceRollbackExact(t *testing.T) {
 		t.Fatalf("abort counter %d, want %d", svc.Aborts(), aborts+1)
 	}
 
-	if got := svc.Snapshot(); !reflect.DeepEqual(got, wantMap) {
+	if got := namesOf(svc); !reflect.DeepEqual(got, wantMap) {
 		t.Errorf("mapping after rollback: %v, want %v", got, wantMap)
 	}
 	if gotLive := append([]int(nil), svc.LiveClients()...); !reflect.DeepEqual(gotLive, wantLive) {
@@ -301,11 +301,11 @@ func TestLiveViewLazyMaterialization(t *testing.T) {
 	if _, err := svc.RunEpoch([]Client{{ID: 4}}, []int{2}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := svc.Live(), len(svc.Snapshot()); got != want {
+	if got, want := svc.Live(), len(namesOf(svc)); got != want {
 		t.Fatalf("Live() = %d before materialization, want %d", got, want)
 	}
 	want := make([]int, 0, svc.Live())
-	for c := range svc.Snapshot() {
+	for c := range namesOf(svc) {
 		want = append(want, c)
 	}
 	sort.Ints(want)

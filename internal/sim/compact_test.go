@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -136,175 +135,12 @@ func newMixFleet() ([]*mixNode, []Node) {
 	return nodes, simNodes
 }
 
-// compactRun is everything a differential run compares.
-type compactRun struct {
-	log     string
-	metrics Metrics
-	digests []RoundDigest
-}
-
 func fleetLog(nodes []*mixNode) string {
 	var b strings.Builder
 	for _, nd := range nodes {
 		b.WriteString(nd.log.String())
 	}
 	return b.String()
-}
-
-// refScenario is one execution for the sequential reference: a fresh
-// fleet, its crash adversary (and Peek), the rushing and Byzantine links
-// and the round count.
-type refScenario struct {
-	nodes     []Node
-	adv       CrashAdversary
-	peek      func(node int) any
-	rushing   []int // ascending
-	byzantine []int
-	rounds    int
-	limit     int
-}
-
-// runReference executes a scenario on the obvious sequential model the
-// engine used to implement literally. Every alive non-rushing node with
-// an empty inbox is polled every round and stepped unless it vouches
-// idle (Quiescent first, then QuiescentAt). Rushing nodes then step with
-// their inbox plus a preview of this round's messages addressed to them.
-// Every outbox is expanded to explicit per-recipient messages. A mid-send
-// filter is called once per previewed message, then once per wire
-// message in (sender, emission) order, with its verdict kept per
-// message. Kept messages are billed and appended to their recipient's
-// next inbox, senders ascending.
-func runReference(sc refScenario) (Metrics, []RoundDigest) {
-	nodes := sc.nodes
-	n := len(nodes)
-	sets := &Sets{}
-	sets.reset(n, false)
-	for _, nd := range nodes {
-		if su, ok := nd.(SetUser); ok {
-			su.UseSets(sets)
-		}
-	}
-	rushing := make([]bool, n)
-	for _, r := range sc.rushing {
-		rushing[r] = true
-	}
-	byzantine := make([]bool, n)
-	for _, b := range sc.byzantine {
-		byzantine[b] = true
-	}
-	m := NewMetrics()
-	m.sizeFor(n)
-	m.CongestLimit = sc.limit
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	expand := func(s int, out Outbox) []Message {
-		var wire []Message
-		for _, msg := range out {
-			switch {
-			case msg.To == ToAll:
-				for to := 0; to < n; to++ {
-					wire = append(wire, Message{From: s, To: to, Payload: msg.Payload})
-				}
-			case msg.To <= toSetBase:
-				for _, to := range sets.membersOf(toSetID(msg.To)) {
-					wire = append(wire, Message{From: s, To: int(to), Payload: msg.Payload})
-				}
-			default:
-				wire = append(wire, Message{From: s, To: msg.To, Payload: msg.Payload})
-			}
-		}
-		return wire
-	}
-	inboxes := make([][]Message, n)
-	var digests []RoundDigest
-	for r := 0; r < sc.rounds; r++ {
-		view := View{Round: r, Alive: append([]bool(nil), alive...), Inbox: func(i int) []Message { return inboxes[i] }, Peek: sc.peek}
-		filters := map[int]SendFilter{}
-		for _, o := range sc.adv.Crashes(view) {
-			if o.Node < 0 || o.Node >= n || !alive[o.Node] {
-				continue
-			}
-			alive[o.Node] = false
-			if o.Filter != nil {
-				filters[o.Node] = o.Filter
-			}
-		}
-		steps := func(i int) bool {
-			_, midSend := filters[i]
-			return alive[i] || midSend
-		}
-		wire := make([][]Message, n)
-		for i, nd := range nodes {
-			if rushing[i] || !steps(i) || len(inboxes[i]) == 0 && vouchesIdle(nd, r) {
-				continue
-			}
-			wire[i] = expand(i, nd.Step(r, inboxes[i]))
-		}
-		previews := make([][]Message, n)
-		for s := range wire {
-			for _, msg := range wire[s] {
-				if !rushing[msg.To] || filters[s] != nil && !filters[s](msg.To) {
-					continue
-				}
-				previews[msg.To] = append(previews[msg.To], msg)
-			}
-		}
-		for _, i := range sc.rushing {
-			if steps(i) {
-				inbox := append(append([]Message(nil), inboxes[i]...), previews[i]...)
-				wire[i] = expand(i, nodes[i].Step(r, inbox))
-			}
-		}
-		next := make([][]Message, n)
-		d := RoundDigest{Round: r, PerKind: map[string]int64{}}
-		for s := 0; s < n; s++ {
-			keep := make([]bool, len(wire[s]))
-			for k := range wire[s] {
-				keep[k] = filters[s] == nil || filters[s](wire[s][k].To)
-			}
-			for k, msg := range wire[s] {
-				if !keep[k] {
-					continue
-				}
-				kind, bits := msg.Payload.Kind(), msg.Payload.Bits()
-				m.Messages++
-				m.Bits += int64(bits)
-				if !byzantine[s] {
-					m.HonestMessages++
-					m.HonestBits += int64(bits)
-				}
-				m.MaxMessageBits = max(m.MaxMessageBits, bits)
-				if sc.limit > 0 && bits > sc.limit {
-					m.OversizeMessages++
-				}
-				m.PerKind[kind]++
-				m.PerKindBits[kind] += int64(bits)
-				m.PerNodeSent[s]++
-				m.PerNodeReceived[msg.To]++
-				d.Messages++
-				d.Bits += int64(bits)
-				d.PerKind[kind]++
-				next[msg.To] = append(next[msg.To], msg)
-			}
-		}
-		digests = append(digests, d)
-		inboxes = next
-	}
-	m.Rounds = sc.rounds
-	return *m, digests
-}
-
-// vouchesIdle polls nd's quiescence contracts in the engine's order.
-func vouchesIdle(nd Node, round int) bool {
-	if q, ok := nd.(Quiescent); ok && q.Quiescent() {
-		return true
-	}
-	if q, ok := nd.(ScheduleQuiescent); ok && q.QuiescentAt(round) {
-		return true
-	}
-	return false
 }
 
 // runReferenceEngine replays the mid-send compaction scenario on the
@@ -328,14 +164,7 @@ func runCompactEngine(t *testing.T, workers int, eager bool, limit int) compactR
 		WithCrashAdversary(&compactAdversary{rng: rand.New(rand.NewSource(compactSeed))}),
 		WithEngineWorkers(workers),
 		WithCongestLimit(limit),
-		WithRoundDigest(func(d RoundDigest) {
-			kinds := make(map[string]int64, len(d.PerKind))
-			for k, v := range d.PerKind {
-				kinds[k] = v
-			}
-			d.PerKind = kinds
-			digests = append(digests, d)
-		}),
+		recordDigests(&digests),
 	}
 	if eager {
 		opts = append(opts, WithEagerMulticast())
@@ -363,25 +192,7 @@ func TestMidSendCompactionMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		for _, eager := range []bool{false, true} {
 			got := runCompactEngine(t, workers, eager, limit)
-			name := fmt.Sprintf("workers=%d eager=%v", workers, eager)
-			if got.log != want.log {
-				t.Errorf("%s: delivered inboxes diverge from the reference at byte %d", name, firstDiff(got.log, want.log))
-			}
-			if !reflect.DeepEqual(got.metrics, want.metrics) {
-				t.Errorf("%s: metrics\n got %+v\nwant %+v", name, got.metrics, want.metrics)
-			}
-			if !reflect.DeepEqual(got.digests, want.digests) {
-				t.Errorf("%s: round digests\n got %+v\nwant %+v", name, got.digests, want.digests)
-			}
+			diffRuns(t, fmt.Sprintf("workers=%d eager=%v", workers, eager), got, want)
 		}
 	}
-}
-
-func firstDiff(a, b string) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return min(len(a), len(b))
 }

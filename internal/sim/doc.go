@@ -23,8 +23,9 @@
 // messages (sent-on-the-wire semantics — a crashed recipient still costs
 // the sender, as in the paper's model) but the payload is stored once:
 // recipients covered by exactly one shared source are bound zero-copy to
-// a shared aggregate segment, and the rest receive a per-recipient
-// merge. Individual copies are written only for rushing previews and for
+// a shared aggregate segment, and the rest get a counted per-recipient
+// view that the sender-ordered scatter writes the shared entry into.
+// Individual copies are written only for rushing previews and for
 // senders crashing mid-send, whose outboxes are compacted to the wire
 // messages their filter keeps (a filter that keeps everything leaves the
 // shared entry in place), in ascending-member order — byte-identical to

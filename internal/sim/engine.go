@@ -35,16 +35,23 @@ import (
 //	         the first time their counter leaves zero. An outbox that is
 //	         one shared entry — ToSet(id), with ToAll the reserved set 0
 //	         of every link — is billed once for the whole set instead;
+//	share    each shared set gets an aggregate segment. A member whose
+//	         only traffic is that segment is bound to it zero-copy; every
+//	         other member is counted like an explicit recipient and listed
+//	         on the set's merged list;
 //	deliver  each listed recipient's count becomes a view carved out of
-//	         the parity slab, and each shared set's members are bound to
-//	         (or queued to merge with) the set's aggregate segment;
+//	         the parity slab;
 //	scatter  each stepped sender's messages are written, in ascending
 //	         sender order, at the next free slot of their recipients'
-//	         views or of their set's segment.
+//	         views; a shared entry goes into its set's segment and into
+//	         the view of every member on the set's merged list.
 //
 // Because slots are assigned in (sender, emission) order, every inbox
 // comes out sorted by sender link with per-sender emission order
-// preserved, at every worker count.
+// preserved, at every worker count. A recipient's sources (explicit mail
+// and the covering sets' segments) are sender-disjoint, since a sender's
+// routed outbox is either one shared entry or all-explicit, so one
+// ascending sender walk also orders recipients with several sources.
 //
 // Inbox storage is slab-allocated (see inboxSlab): per round, one arena
 // holds every incoming message, and the per-recipient tables hold views
@@ -175,21 +182,16 @@ type engine struct {
 	// out of the parity aggregate slab, which scatter fills in sender
 	// order. Recipients whose only traffic is a single segment are *bound*
 	// to it zero-copy (their view still carries the sender's To
-	// sentinel); recipients with several sources are listed on mergeList,
-	// and mergeTotal sums their inbox lengths for phaseMerge, which merges
-	// them into the parity merge slab. See docs/MEMORY.md.
+	// sentinel); recipients with several sources get a counted view in
+	// the inbox slab like any explicit recipient, and scatter writes each
+	// covering set's entries into it. See docs/MEMORY.md.
 	sets           *Sets
 	eagerMulticast bool
 	sharedFrom     []int32      // pure-shared senders, ascending
 	actSets        []actSet     // this round's distinct shared targets
 	aggSlabs       [2]inboxSlab // aggregate segments, by round parity
 	aggActive      bool
-	srcSet         []int32  // per recipient: actSets index of its named source
-	srcGen         []uint32 // stamp for srcSet
 	clsGen         []uint32 // per recipient: classification-done stamp
-	mergeList      []int32  // recipients needing a k-way merge
-	mergeTotal     int      // Σ inbox lengths over mergeList
-	mergeSlabs     [2]inboxSlab
 }
 
 // stepShard is one worker's step-phase output: the nodes it stepped and,
@@ -201,12 +203,15 @@ type stepShard struct {
 
 // actSet is one distinct shared target active this round: its set id,
 // its aggregate segment (a sender-ordered view into the aggregate slab),
-// its size, and the scatter cursor into it.
+// its size, the scatter cursor into it, and its merged members — those
+// not bound to the segment, whose counted views scatter also writes the
+// set's entries into. merged keeps its capacity across rounds.
 type actSet struct {
-	id    int
-	total int
-	cur   int
-	seg   []Message
+	id     int
+	total  int
+	cur    int
+	seg    []Message
+	merged []int32
 }
 
 // inboxSlab is a per-parity message arena: each round the deliver phase
@@ -266,8 +271,6 @@ func (e *engine) reset(nodes []Node) {
 	e.outs = growSpan(e.outs, n)
 	e.counts = growSpan(e.counts, n)
 	e.aliveView = growSpan(e.aliveView, n)
-	e.srcSet = growSpan(e.srcSet, n)
-	e.srcGen = growSpan(e.srcGen, n)
 	e.clsGen = growSpan(e.clsGen, n)
 	e.visit = growSpan(e.visit, (n+63)/64)
 	clear(e.visit)
@@ -283,9 +286,9 @@ func (e *engine) reset(nodes []Node) {
 		// previous run's slab view to a fresh node.
 		e.inboxes[i], e.nextInb[i] = nil, nil
 		e.inbGen[i], e.nextGen[i] = 0, 0
-		// The aggregate stamps share the zeroed-means-never convention
-		// (round stamps start at 1), so cross-run staleness is impossible.
-		e.srcGen[i], e.clsGen[i] = 0, 0
+		// The classification stamp is zeroed-means-never too (round
+		// stamps start at 1), so cross-run staleness is impossible.
+		e.clsGen[i] = 0
 		e.outs[i] = nil
 		// A previous run leaves its last round's counters dirty.
 		e.counts[i] = 0
@@ -528,11 +531,11 @@ func (e *engine) StepRound() {
 	}
 	e.phaseCount()
 	e.planShared()
+	if e.aggActive {
+		e.deliverShared()
+	}
 	e.phaseDeliver()
 	e.phaseScatter()
-	if e.aggActive && len(e.mergeList) > 0 {
-		e.phaseMerge()
-	}
 	e.foldMetrics()
 	if e.digest != nil {
 		e.digest(RoundDigest{Round: e.round, Messages: e.acc.messages, Bits: e.acc.bits, PerKind: e.acc.perKind})
@@ -845,7 +848,7 @@ func (e *engine) phaseCount() {
 // has already compacted any diverged outbox to explicit survivors —
 // takes the aggregate path: one addN bills the full fan-out, the
 // per-recipient counters stay untouched, and the sender joins sharedFrom
-// for planShared/scatterShared. An outbox that mixes shared entries with
+// for planShared/deliverShared. An outbox that mixes shared entries with
 // anything else is expanded into explicit messages first, preserving its
 // emission order exactly — shared targets never reach the explicit loop
 // below.
@@ -912,7 +915,8 @@ func (e *engine) planShared() {
 		idx := e.actIdx(id)
 		if idx < 0 {
 			idx = len(e.actSets)
-			e.actSets = append(e.actSets, actSet{id: id})
+			e.actSets = slices.Grow(e.actSets, 1)[:idx+1]
+			e.actSets[idx] = actSet{id: id, merged: e.actSets[idx].merged[:0]}
 		}
 		e.actSets[idx].total++
 	}
@@ -937,133 +941,45 @@ func (e *engine) actIdx(id int) int {
 	return -1
 }
 
-// scatterShared writes the pure-shared senders' entries into their
-// aggregate segments, stamping the true sender. sharedFrom is ascending,
-// so every segment comes out in sender order.
-func (e *engine) scatterShared() {
-	for _, from := range e.sharedFrom {
-		msg := e.outs[from][0]
-		a := &e.actSets[e.actIdx(toSetID(msg.To))]
-		msg.From = int(from)
-		a.seg[a.cur] = msg
-		a.cur++
-	}
-}
-
-// deliverShared classifies the recipients of this round's aggregate
-// segments, after the individual views have been carved. A recipient
-// whose only traffic is a single segment is bound to it zero-copy (the
-// view still carries the sender's To sentinel); a recipient with several
-// sources — an individual view, or more than one segment — is queued on
-// mergeList for phaseMerge.
-func (e *engine) deliverShared(stamp uint32) {
-	// Mark the members of every active set with it as their source; a
-	// second set covering the same recipient degrades it to "multiple".
+// deliverShared classifies the members of this round's shared sets
+// before the inbox views are carved. A member is classified once, at the
+// first active set that covers it, so only later sets can also hold it.
+// A member with no explicit mail that no later set holds is bound to the
+// segment zero-copy (the view still carries the sender's To sentinel).
+// Every other member is counted like an explicit recipient: each set
+// covering it adds its senders to the member's counter and lists the
+// member on its merged list, which phaseScatter writes through.
+func (e *engine) deliverShared() {
+	stamp := uint32(e.round) + 1
 	for idx := range e.actSets {
-		for _, m := range e.sets.membersOf(e.actSets[idx].id) {
-			if e.srcGen[m] == stamp {
-				e.srcSet[m] = -1
-			} else {
-				e.srcGen[m] = stamp
-				e.srcSet[m] = int32(idx)
-			}
-		}
-	}
-	// Only members of an active set have a shared source; walk those,
-	// classifying each recipient once.
-	ml := e.mergeList[:0]
-	e.mergeTotal = 0
-	for idx := range e.actSets {
-		for _, m := range e.sets.membersOf(e.actSets[idx].id) {
+		a := &e.actSets[idx]
+		for _, m32 := range e.sets.membersOf(a.id) {
+			m := int(m32)
 			if e.clsGen[m] == stamp {
 				continue
 			}
 			e.clsGen[m] = stamp
-			ml = e.classifyShared(int(m), stamp, ml)
-		}
-	}
-	e.mergeList = ml
-}
-
-// classifyShared resolves recipient to's delivery for an aggregate-active
-// round: bind (zero-copy shared view) or queue for merge, adding its
-// merged inbox length to mergeTotal. Aggregate receive counts are
-// credited here; individual counts were credited when the view was
-// carved.
-func (e *engine) classifyShared(to int, stamp uint32, ml []int32) []int32 {
-	idx := int(e.srcSet[to])
-	var recv int64
-	if idx >= 0 {
-		recv = int64(e.actSets[idx].total)
-	} else {
-		for k := range e.actSets {
-			a := &e.actSets[k]
-			if containsMember(e.sets.membersOf(a.id), to) {
-				recv += int64(a.total)
+			bound := e.counts[m] == 0
+			for k := idx + 1; bound && k < len(e.actSets); k++ {
+				bound = !containsMember(e.sets.membersOf(e.actSets[k].id), m)
 			}
-		}
-	}
-	e.metrics.PerNodeReceived[to] += recv
-	individual := e.nextGen[to] == stamp
-	if idx >= 0 && !individual {
-		e.nextInb[to] = e.actSets[idx].seg
-		e.nextGen[to] = stamp
-		return ml
-	}
-	e.mergeTotal += int(recv)
-	if individual {
-		e.mergeTotal += len(e.nextInb[to])
-	}
-	return append(ml, int32(to))
-}
-
-// phaseMerge materializes the inboxes of recipients with several
-// delivery sources: the individual view and every covering aggregate
-// segment are k-way merged by sender into the parity merge slab, with
-// To rewritten to the recipient during the copy. Sources are
-// sender-disjoint (a sender's round outbox is either one shared entry or
-// all-explicit), so the merge by leading From reproduces the explicit
-// representation's (sender, emission) delivery order exactly.
-func (e *engine) phaseMerge() {
-	stamp := uint32(e.round) + 1
-	buf := e.mergeSlabs[e.round&1].fill(e.mergeTotal)
-	off := 0
-	var srcs [][]Message
-	for _, to32 := range e.mergeList {
-		to := int(to32)
-		srcs = srcs[:0]
-		if e.nextGen[to] == stamp {
-			srcs = append(srcs, e.nextInb[to])
-		}
-		for idx := range e.actSets {
-			a := &e.actSets[idx]
-			if containsMember(e.sets.membersOf(a.id), to) {
-				srcs = append(srcs, a.seg)
+			if bound {
+				e.nextInb[m] = a.seg
+				e.nextGen[m] = stamp
+				e.metrics.PerNodeReceived[m] += int64(a.total)
+				continue
 			}
-		}
-		cnt := 0
-		for _, s := range srcs {
-			cnt += len(s)
-		}
-		view := buf[off : off : off+cnt]
-		for len(view) < cnt {
-			best := -1
-			for si := range srcs {
-				if len(srcs[si]) == 0 {
-					continue
-				}
-				if best < 0 || srcs[si][0].From < srcs[best][0].From {
-					best = si
+			if e.counts[m] == 0 {
+				e.recip = append(e.recip, m)
+			}
+			for k := idx; k < len(e.actSets); k++ {
+				c := &e.actSets[k]
+				if k == idx || containsMember(e.sets.membersOf(c.id), m) {
+					e.counts[m] += int32(c.total)
+					c.merged = append(c.merged, m32)
 				}
 			}
-			msg := srcs[best][0]
-			msg.To = to
-			view = append(view, msg)
-			srcs[best] = srcs[best][1:]
 		}
-		e.nextInb[to] = view
-		e.nextGen[to] = stamp
-		off += cnt
 	}
 }
 
@@ -1091,25 +1007,31 @@ func (e *engine) phaseDeliver() {
 		e.nextGen[to] = stamp
 		off += cnt
 	}
-	if e.aggActive {
-		e.deliverShared(stamp)
-	}
 }
 
 // phaseScatter places every stepped sender's surviving messages in its
 // recipients' views, stamping the true sender (authenticated channels).
-// The stepped list is ascending, so slots are assigned in sender order.
-// Pure-shared senders go to their aggregate segment instead, and mixed
-// outboxes were expanded during the count phase, so no shared target
-// ever reaches the per-message loop.
+// The stepped list is ascending, so slots are assigned in sender order. A
+// pure-shared sender's entry goes to its set's aggregate segment and, To
+// rewritten, to every merged member's view; mixed outboxes were expanded
+// during the count phase, so no shared target ever reaches the
+// per-message loop.
 func (e *engine) phaseScatter() {
-	if e.aggActive {
-		e.scatterShared()
-	}
 	counts := e.counts
 	for _, i := range e.stepped {
 		out := e.outs[i]
 		if len(out) == 1 && out[0].To < 0 {
+			msg := out[0]
+			msg.From = i
+			a := &e.actSets[e.actIdx(toSetID(msg.To))]
+			a.seg[a.cur] = msg
+			a.cur++
+			for _, m := range a.merged {
+				msg.To = int(m)
+				pos := counts[m]
+				counts[m] = pos + 1
+				e.nextInb[m][pos] = msg
+			}
 			continue
 		}
 		for k := range out {

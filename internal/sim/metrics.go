@@ -20,7 +20,7 @@ type Metrics struct {
 	Bits int64
 	// Rounds is the number of rounds the network executed.
 	Rounds int
-	// MaxMessageBits is the largest single payload observed.
+	// MaxMessageBits is the largest single honest payload observed.
 	MaxMessageBits int
 	// PerKind breaks Messages down by payload kind.
 	PerKind map[string]int64
@@ -37,9 +37,9 @@ type Metrics struct {
 	PerNodeSent     []int64
 	PerNodeReceived []int64
 	// CongestLimit, when positive, is the per-message bit budget of the
-	// CONGEST model; OversizeMessages counts messages exceeding it. The
-	// paper's algorithms stay at zero for N = poly(n); the prior-work
-	// baselines with Ω(n)-bit messages do not.
+	// CONGEST model; OversizeMessages counts honest messages exceeding
+	// it. The paper's algorithms stay at zero for N = poly(n); the
+	// prior-work baselines with Ω(n)-bit messages do not.
 	CongestLimit     int
 	OversizeMessages int64
 }

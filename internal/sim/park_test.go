@@ -29,7 +29,9 @@ var (
 
 // parkProbe is the state every parking-test node shares: a hash of every
 // inbox it has seen, its Step call log (round and inbox, To excluded)
-// and the number of times the engine polled its quiescence.
+// and the number of times the engine polled its quiescence. script, when
+// set, replaces emit's hash-derived traffic (the fuzz programs of
+// FuzzEngineVsReference).
 type parkProbe struct {
 	idx, n int
 	state  uint64
@@ -37,6 +39,7 @@ type parkProbe struct {
 	log    strings.Builder
 	polls  int
 	steps  int
+	script func(p *parkProbe, round int) Outbox
 }
 
 func (p *parkProbe) UseSets(s *Sets)     { p.sets = s }
@@ -62,6 +65,9 @@ func (p *parkProbe) absorb(round int, inbox []Message) uint64 {
 // emit derives sparse traffic from h: mostly nothing, sometimes one or
 // two unicasts, rarely a ToSet multicast to an eight-member set.
 func (p *parkProbe) emit(round int, h uint64) Outbox {
+	if p.script != nil {
+		return p.script(p, round)
+	}
 	payload := Payload(pingPayload{size: int(h>>8%32) + 1})
 	if h>>13&1 == 1 {
 		payload = pongPayload{size: int(h>>14%32) + 1}
@@ -257,14 +263,7 @@ func runParkEngine(t *testing.T, pool *Pool, workers int, eager bool) (compactRu
 		WithRushing(parkRushing),
 		WithByzantine(parkByzantine),
 		WithEngineWorkers(workers),
-		WithRoundDigest(func(d RoundDigest) {
-			kinds := make(map[string]int64, len(d.PerKind))
-			for k, v := range d.PerKind {
-				kinds[k] = v
-			}
-			d.PerKind = kinds
-			digests = append(digests, d)
-		}),
+		recordDigests(&digests),
 	}
 	if eager {
 		opts = append(opts, WithEagerMulticast())
@@ -339,15 +338,7 @@ func TestParkingMatchesReference(t *testing.T) {
 		for _, eager := range []bool{false, true} {
 			got, st := runParkEngine(t, nil, workers, eager)
 			name := fmt.Sprintf("workers=%d eager=%v", workers, eager)
-			if got.log != want.log {
-				t.Errorf("%s: Step calls diverge from the reference at byte %d", name, firstDiff(got.log, want.log))
-			}
-			if !reflect.DeepEqual(got.metrics, want.metrics) {
-				t.Errorf("%s: metrics\n got %+v\nwant %+v", name, got.metrics, want.metrics)
-			}
-			if !reflect.DeepEqual(got.digests, want.digests) {
-				t.Errorf("%s: round digests\n got %+v\nwant %+v", name, got.digests, want.digests)
-			}
+			diffRuns(t, name, got, want)
 			t.Logf("%s: %d parked (%d of them parallel), %d full-scan, %d parallel rounds; %d polls, %d steps, %d messages, %d awake visits",
 				name, st.parked, st.parkedParallel, st.full, st.parallel, st.polls, st.steps, got.metrics.Messages, st.awake)
 			if workers != 1 && st.parkedParallel == 0 {

@@ -71,7 +71,7 @@ func (c *castNode) Halted() bool        { return c.round > c.sendFor+1 }
 // runCastFleet executes the mixed-traffic scenario and returns its full
 // delivery fingerprint plus billed totals. The scenario covers every
 // shared-aggregate code path: zero-copy binds (recipients covered by one
-// set and nothing else), k-way merges (recipients in overlapping sets,
+// set and nothing else), merged views (recipients in overlapping sets,
 // explicit unicasts on top, periodic ToAll rounds), mixed outbox
 // pre-expansion, mid-send crash filtering of a ToSet sender, and
 // rushing Byzantine previewers inside target sets — reached through
